@@ -8,6 +8,7 @@
 package cspsat_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -637,7 +638,7 @@ func BenchmarkDeadlockSearch(b *testing.B) {
 	env := sem.NewEnv(paper.ProtocolSystem(2), 2)
 	st := op.NewState(syntax.Ref{Name: paper.NameProtocol}, env)
 	for i := 0; i < b.N; i++ {
-		dls, err := op.FindDeadlocks(st, 6)
+		dls, err := op.FindDeadlocks(context.Background(), st, 6)
 		if err != nil {
 			b.Fatal(err)
 		}

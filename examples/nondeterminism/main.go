@@ -15,13 +15,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"cspsat/internal/core"
-	"cspsat/internal/failures"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
+	"cspsat/pkg/csp"
 )
 
 const spec = `
@@ -36,17 +36,18 @@ merged = STOP | copier
 `
 
 func main() {
-	sys, err := core.Load(spec, core.Options{NatWidth: 2})
+	ctx := context.Background()
+	mod, err := csp.Load(ctx, spec, csp.Options{NatWidth: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	copier, _ := sys.Proc("copier")
-	flaky, _ := sys.Proc("flaky")
-	merged, _ := sys.Proc("merged")
+	copier, _ := mod.Proc("copier")
+	flaky, _ := mod.Proc("flaky")
+	merged, _ := mod.Proc("merged")
 	const depth = 4
 
 	// --- defect 1+2 in the trace model ---
-	ck := sys.Checker(depth)
+	ck := mod.Checker(ctx, csp.CheckOptions{Depth: depth})
 	eq1, err := ck.Equivalent(merged, copier)
 	if err != nil {
 		log.Fatal(err)
@@ -61,25 +62,26 @@ func main() {
 	fmt.Println("                                      choice of deadlock is invisible")
 
 	// --- the failures model tells them apart ---
-	mc, err := failures.Compute(copier, sys.Env(), depth)
+	fopts := csp.EngineOptions{Depth: depth}
+	mc, err := mod.Failures(ctx, copier, fopts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mf, err := failures.Compute(flaky, sys.Env(), depth)
+	mf, err := mod.Failures(ctx, flaky, fopts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mm, err := failures.Compute(merged, sys.Env(), depth)
+	mm, err := mod.Failures(ctx, merged, fopts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nstable-failures model (the conclusion's hoped-for extension):")
-	cex, err := failures.Equivalent(mm, mc)
+	cex, err := csp.FailuresEquivalent(mm, mc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  STOP |  copier ≡F copier ?  %v   (external choice: STOP adds nothing)\n", cex == nil)
-	cex, err = failures.Equivalent(mf, mc)
+	cex, err = csp.FailuresEquivalent(mf, mc)
 	if err != nil {
 		log.Fatal(err)
 	}

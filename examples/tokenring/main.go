@@ -5,45 +5,45 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
-	"cspsat/internal/core"
-	"cspsat/internal/failures"
-	"cspsat/internal/op"
+	"cspsat/pkg/csp"
 )
 
 func main() {
+	ctx := context.Background()
 	path := filepath.Join("specs", "tokenring.csp")
 	if _, err := os.Stat(path); err != nil {
 		path = filepath.Join("..", "..", "specs", "tokenring.csp")
 	}
-	sys, err := core.LoadFile(path, core.Options{NatWidth: 2})
+	mod, err := csp.LoadFile(ctx, path, csp.Options{NatWidth: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 1. Model-check the file's asserts (round-robin work counters).
-	results, err := sys.CheckAll(9)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(core.FormatAssertResults(results))
+	fmt.Print(csp.FormatAssertResults(results))
 
-	ring, err := sys.Proc("sys")
+	ring, err := mod.Proc("sys")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. Liveness-adjacent checks the sat-framework cannot express.
-	dls, err := sys.Checker(8).Deadlocks(ring)
+	dls, err := mod.Deadlocks(ctx, ring, csp.CheckOptions{Depth: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndeadlocks to depth 8: %d\n", len(dls))
-	if _, div, err := failures.Diverges(ring, sys.Env(), 4); err != nil {
+	if _, div, err := mod.Diverges(ctx, ring, csp.EngineOptions{Depth: 4}); err != nil {
 		log.Fatal(err)
 	} else {
 		fmt.Printf("can diverge: %v (token passes are finite chatter between works)\n", div)
@@ -51,7 +51,7 @@ func main() {
 
 	// 3. Failures view: the ring is deterministic — the environment can
 	//    rely on exactly one behaviour.
-	m, err := sys.Failures(ring, 6)
+	m, err := mod.Failures(ctx, ring, csp.EngineOptions{Depth: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func main() {
 	}
 
 	// 4. A picture: the ring's visible state space is a single cycle.
-	g, err := op.DotLTS(op.NewState(ring, sys.Env()), 8)
+	g, err := mod.DotLTS(ring, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nGraphviz of the state space (render with `dot -Tsvg`):\n%s", g)
 
 	// 5. Run it on goroutines with the invariant monitored.
-	run, err := sys.RunMonitored("sys", sys.Asserts[0].A, 3, 24)
+	run, err := mod.Run(ctx, ring, csp.EngineOptions{Seed: 3, MaxEvents: 24}, mod.MonitorSat(mod.Asserts()[0].A))
 	if err != nil {
 		log.Fatal(err)
 	}

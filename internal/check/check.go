@@ -112,14 +112,18 @@ func (c *Checker) Funcs() *assertion.Registry { return c.funcs }
 // Depth returns the trace-length bound.
 func (c *Checker) Depth() int { return c.depth }
 
+// context returns the context the checker's engines run under.
+func (c *Checker) context() context.Context {
+	if c.Ctx == nil {
+		return context.Background()
+	}
+	return c.Ctx
+}
+
 // traces enumerates p's traces under the checker's context and worker
 // configuration.
 func (c *Checker) traces(p syntax.Proc) (*closure.Set, error) {
-	ctx := c.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return op.TracesContext(ctx, p, c.env, c.depth, c.Workers)
+	return op.TracesContext(c.context(), p, c.env, c.depth, c.Workers)
 }
 
 // Sat checks P sat R: every trace of p (to the depth bound) must satisfy a.
@@ -202,11 +206,7 @@ func (c *Checker) satBehavioural(p syntax.Proc, a assertion.A) (Result, error) {
 // failuresModel computes p's stable-failures model under the checker's
 // context and depth bound.
 func (c *Checker) failuresModel(p syntax.Proc) (*failures.Model, error) {
-	ctx := c.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fm, err := failures.ComputeContext(ctx, p, c.env, c.depth)
+	fm, err := failures.ComputeContext(c.context(), p, c.env, c.depth)
 	if err != nil {
 		return nil, fmt.Errorf("check: computing failures of %s: %w", p, err)
 	}
@@ -314,9 +314,9 @@ func (c *Checker) refinesFailures(impl, spec syntax.Proc) (RefineResult, error) 
 // Deadlocks searches for reachable stuck configurations to the depth
 // bound. A sat-check cannot see them (the paper's §4 limitation: STOP
 // satisfies every satisfiable assertion); this is the complementary
-// analysis that can.
+// analysis that can. It runs under the checker's context.
 func (c *Checker) Deadlocks(p syntax.Proc) ([]op.Deadlock, error) {
-	return op.FindDeadlocks(op.NewState(p, c.env), c.depth)
+	return op.FindDeadlocks(c.context(), op.NewState(p, c.env), c.depth)
 }
 
 // Equivalent checks trace equivalence of two processes up to the depth

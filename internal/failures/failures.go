@@ -26,11 +26,11 @@ package failures
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"cspsat/internal/op"
-	"cspsat/internal/pool"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
@@ -47,18 +47,6 @@ func (a Acceptance) key() string {
 		parts[i] = e.String()
 	}
 	return strings.Join(parts, ",")
-}
-
-// idKey is the dedup identity of the acceptance: packed interned event
-// ids. Equal acceptances (same sorted event list) have equal idKeys, and
-// building one never re-renders events the way key does.
-func (a Acceptance) idKey() string {
-	b := make([]byte, 0, 4*len(a))
-	for _, e := range a {
-		id := e.ID()
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // String renders the acceptance as an event set.
@@ -107,76 +95,46 @@ func Compute(p syntax.Proc, env sem.Env, depth int) (*Model, error) {
 	return ComputeContext(context.Background(), p, env, depth)
 }
 
-// ComputeContext is Compute under a context: cancellation is checked per
-// explored trace and surfaces as an error wrapping csperr.ErrCanceled, the
-// same discipline as every other engine.
+// ComputeContext is Compute under a context: the model is read off
+// op.Explorer.Walk, which checks ctx per explored trace (cancellation
+// surfaces as an error wrapping csperr.ErrCanceled, the same discipline as
+// every other engine) and caps every τ-closure at op.DefaultMaxTauStates
+// (an error wrapping csperr.ErrDepthExceeded).
 func ComputeContext(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (*Model, error) {
 	m := &Model{depth: depth, traces: map[string]*entry{}}
-
-	type node struct {
-		states []op.State
-		prefix trace.T
-	}
-	start, err := tauClosure(op.NewState(p, env))
-	if err != nil {
-		return nil, err
-	}
-	// Each queue entry's prefix is unique (children extend their parent's
-	// unique prefix by distinct events), so no visited set is needed: the
-	// exploration is a tree over traces, bounded by the depth cut-off.
-	queue := []node{{states: start, prefix: nil}}
-	for len(queue) > 0 {
-		if err := pool.Canceled(ctx); err != nil {
-			return nil, err
+	err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
+		steps, err := n.Steps()
+		if err != nil {
+			return err
 		}
-		cur := queue[0]
-		queue = queue[1:]
-		ent := m.entryFor(cur.prefix)
-		nextByEvent := map[string][]op.State{}
-		var events []trace.Event
-		for _, st := range cur.states {
-			ts, err := op.Step(st)
-			if err != nil {
-				return nil, err
-			}
-			stable := true
-			var acc Acceptance
-			for _, tr := range ts {
-				if tr.Tau {
-					stable = false
-					continue
-				}
-				if !acc.contains(tr.Ev) {
-					acc = append(acc, tr.Ev)
-				}
-				k := tr.Ev.String()
-				if _, seen := nextByEvent[k]; !seen {
-					events = append(events, tr.Ev)
-				}
-				nextByEvent[k] = append(nextByEvent[k], tr.Next)
-			}
-			if stable {
-				sort.Slice(acc, func(i, j int) bool { return acc[i].Compare(acc[j]) < 0 })
+		ent := m.entryFor(n.Trace)
+		for _, ts := range steps {
+			if acc, stable := acceptance(ts); stable {
 				ent.add(acc)
 			}
 		}
-		if len(cur.prefix) >= depth {
-			continue
-		}
-		for _, ev := range events {
-			var closed []op.State
-			for _, n := range nextByEvent[ev.String()] {
-				cl, err := tauClosure(n)
-				if err != nil {
-					return nil, err
-				}
-				closed = append(closed, cl...)
-			}
-			closed = dedupe(closed)
-			queue = append(queue, node{states: closed, prefix: cur.prefix.Append(ev)})
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// acceptance returns the events offered by a state whose transitions are
+// ts, in canonical order, and whether the state is stable (has no τ-step).
+func acceptance(ts []op.Transition) (Acceptance, bool) {
+	var acc Acceptance
+	for _, tr := range ts {
+		if tr.Tau {
+			return nil, false
+		}
+		if !acc.contains(tr.Ev) {
+			acc = append(acc, tr.Ev)
+		}
+	}
+	slices.SortFunc(acc, trace.Event.Compare)
+	return acc, true
 }
 
 func (m *Model) entryFor(t trace.T) *entry {
@@ -193,54 +151,15 @@ func (m *Model) entryFor(t trace.T) *entry {
 }
 
 func (e *entry) add(a Acceptance) {
-	k := a.idKey()
 	for _, x := range e.accs {
-		if x.idKey() == k {
+		if slices.EqualFunc(x, a, sameEvent) {
 			return
 		}
 	}
 	e.accs = append(e.accs, a)
 }
 
-func tauClosure(s op.State) ([]op.State, error) {
-	seen := map[string]bool{s.Key(): true}
-	out := []op.State{s}
-	work := []op.State{s}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		ts, err := op.Step(cur)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range ts {
-			if !tr.Tau {
-				continue
-			}
-			k := tr.Next.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, tr.Next)
-			work = append(work, tr.Next)
-		}
-	}
-	return out, nil
-}
-
-func dedupe(ss []op.State) []op.State {
-	seen := map[string]bool{}
-	out := ss[:0]
-	for _, s := range ss {
-		k := s.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
+func sameEvent(x, y trace.Event) bool { return x.ID() == y.ID() }
 
 // Traces returns the model's traces in exploration order.
 func (m *Model) Traces() []trace.T {
@@ -380,104 +299,62 @@ func (m *Model) String() string {
 
 // Diverges reports whether the process can diverge within the visible-trace
 // depth, returning the shortest trace after which a τ-cycle is reachable.
-func Diverges(p syntax.Proc, env sem.Env, depth int) (trace.T, bool, error) {
-	type node struct {
-		states []op.State
-		prefix trace.T
-	}
-	start, err := tauClosure(op.NewState(p, env))
+// Like ComputeContext it is a walk, under the same τ-closure cap and ctx.
+func Diverges(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (trace.T, bool, error) {
+	var found trace.T
+	diverges := false
+	err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
+		steps, err := n.Steps()
+		if err != nil {
+			return err
+		}
+		if hasTauCycle(n.Keys, steps) {
+			found, diverges = n.Trace, true
+			return op.SkipAll
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	queue := []node{{states: start, prefix: nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		cyclic, err := hasTauCycle(cur.states)
-		if err != nil {
-			return nil, false, err
-		}
-		if cyclic {
-			return cur.prefix, true, nil
-		}
-		if len(cur.prefix) >= depth {
-			continue
-		}
-		nextByEvent := map[string][]op.State{}
-		var events []trace.Event
-		for _, st := range cur.states {
-			ts, err := op.Step(st)
-			if err != nil {
-				return nil, false, err
-			}
-			for _, tr := range ts {
-				if tr.Tau {
-					continue
-				}
-				k := tr.Ev.String()
-				if _, seen := nextByEvent[k]; !seen {
-					events = append(events, tr.Ev)
-				}
-				nextByEvent[k] = append(nextByEvent[k], tr.Next)
-			}
-		}
-		for _, ev := range events {
-			var closed []op.State
-			for _, n := range nextByEvent[ev.String()] {
-				cl, err := tauClosure(n)
-				if err != nil {
-					return nil, false, err
-				}
-				closed = append(closed, cl...)
-			}
-			queue = append(queue, node{states: dedupe(closed), prefix: cur.prefix.Append(ev)})
-		}
-	}
-	return nil, false, nil
+	return found, diverges, nil
 }
 
-// hasTauCycle checks the τ-edge graph over the given (τ-closed) state set
-// for a cycle, by DFS with colouring.
-func hasTauCycle(states []op.State) (bool, error) {
+// hasTauCycle reports whether the τ-edges among a node's states form a
+// cycle, by DFS with colouring. keys[i] and steps[i] are state i's key and
+// transitions; the node is τ-closed, so every τ-successor is a state of it.
+func hasTauCycle(keys []string, steps [][]op.Transition) bool {
 	const (
-		white = 0
-		grey  = 1
-		black = 2
+		white = iota
+		grey
+		black
 	)
-	colour := map[string]int{}
-	var visit func(s op.State) (bool, error)
-	visit = func(s op.State) (bool, error) {
-		k := s.Key()
-		switch colour[k] {
-		case grey:
-			return true, nil
-		case black:
-			return false, nil
-		}
-		colour[k] = grey
-		ts, err := op.Step(s)
-		if err != nil {
-			return false, err
-		}
-		for _, tr := range ts {
+	index := make(map[string]int, len(keys))
+	for i, k := range keys {
+		index[k] = i
+	}
+	colour := make([]int, len(keys))
+	var visit func(i int) bool
+	visit = func(i int) bool {
+		colour[i] = grey
+		for _, tr := range steps[i] {
 			if !tr.Tau {
 				continue
 			}
-			cyc, err := visit(tr.Next)
-			if err != nil || cyc {
-				return cyc, err
+			j, ok := index[tr.Next.Key()]
+			if ok && (colour[j] == grey || (colour[j] == white && visit(j))) {
+				return true
 			}
 		}
-		colour[k] = black
-		return false, nil
+		colour[i] = black
+		return false
 	}
-	for _, s := range states {
-		cyc, err := visit(s)
-		if err != nil || cyc {
-			return cyc, err
+	for i := range keys {
+		if colour[i] == white && visit(i) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // Nondeterminism is a witness that a process is not deterministic: after

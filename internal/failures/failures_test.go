@@ -1,6 +1,7 @@
 package failures_test
 
 import (
+	"context"
 	"testing"
 
 	"cspsat/internal/check"
@@ -236,7 +237,7 @@ func TestModelDepthMismatchRejected(t *testing.T) {
 // the observable difference between them.
 func TestDivergence(t *testing.T) {
 	env := sem.NewEnv(paper.ProtocolSystem(2), 2)
-	tr, div, err := failures.Diverges(syntax.Ref{Name: paper.NameProtocol}, env, 3)
+	tr, div, err := failures.Diverges(context.Background(), syntax.Ref{Name: paper.NameProtocol}, env, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestDivergence(t *testing.T) {
 	// The copier system never diverges: each hidden wire event is preceded
 	// by a fresh input.
 	cenv := copierEnv()
-	_, div, err = failures.Diverges(syntax.Ref{Name: paper.NameCopySys}, cenv, 4)
+	_, div, err = failures.Diverges(context.Background(), syntax.Ref{Name: paper.NameCopySys}, cenv, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +266,14 @@ func TestDivergence(t *testing.T) {
 	m.MustDefine(syntax.Def{Name: "hidden", Body: syntax.Hiding{
 		Channels: []syntax.ChanItem{{Name: "c"}}, Body: syntax.Ref{Name: "spin"}}})
 	henv := sem.NewEnv(m, 2)
-	tr, div, err = failures.Diverges(syntax.Ref{Name: "hidden"}, henv, 2)
+	tr, div, err = failures.Diverges(context.Background(), syntax.Ref{Name: "hidden"}, henv, 2)
 	if err != nil || !div || len(tr) != 0 {
 		t.Errorf("hidden spin: div=%v tr=%s err=%v", div, tr, err)
 	}
 
 	// Internal choice alone introduces τ-steps but no cycle.
 	ic := syntax.IChoice{L: syntax.Stop{}, R: syntax.Stop{}}
-	_, div, err = failures.Diverges(ic, henv, 2)
+	_, div, err = failures.Diverges(context.Background(), ic, henv, 2)
 	if err != nil || div {
 		t.Errorf("τ-split flagged divergent: %v %v", div, err)
 	}

@@ -1,7 +1,8 @@
 package op
 
 import (
-	"strconv"
+	"context"
+	"strings"
 
 	"cspsat/internal/trace"
 )
@@ -18,80 +19,42 @@ type Deadlock struct {
 
 // FindDeadlocks explores the transition system to the visible-depth bound
 // and returns every minimal deadlock found: one entry per distinct stuck
-// state, with a shortest trace reaching it. The search shares the
-// explorer's τ-closure and divergence guards.
-func FindDeadlocks(s State, depth int) ([]Deadlock, error) {
-	x := NewExplorer()
+// state, with a shortest trace reaching it. The search is a Walk, so it
+// shares the explorer's τ-closure cap and ends with an error wrapping
+// csperr.ErrCanceled once ctx is done.
+func FindDeadlocks(ctx context.Context, s State, depth int) ([]Deadlock, error) {
 	var out []Deadlock
 	seenStuck := map[string]bool{}
-	visited := map[string]bool{}
-
-	type item struct {
-		states []State
-		prefix trace.T
+	// A state set already met at the same trace length has the same stuck
+	// states and the same subtree, so it is skipped before it is stepped.
+	type setKey struct {
+		length int
+		states string
 	}
-	start, err := x.tauClosure(s)
+	visited := map[setKey]bool{}
+	err := new(Explorer).Walk(ctx, s, depth, func(n *Node) error {
+		k := setKey{len(n.Trace), strings.Join(n.Keys, "\x01")}
+		if visited[k] {
+			return SkipNode
+		}
+		visited[k] = true
+		steps, err := n.Steps()
+		if err != nil {
+			return err
+		}
+		for i, ts := range steps {
+			// A state is stuck when it enables nothing at all.
+			if len(ts) == 0 && !seenStuck[n.Keys[i]] {
+				seenStuck[n.Keys[i]] = true
+				cp := make(trace.T, len(n.Trace))
+				copy(cp, n.Trace)
+				out = append(out, Deadlock{Trace: cp, State: n.States[i]})
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	queue := []item{{states: start, prefix: nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		// A state is stuck when it enables nothing at all.
-		nextByEvent := map[string][]State{}
-		var events []trace.Event
-		for _, st := range cur.states {
-			ts, err := Step(st)
-			if err != nil {
-				return nil, err
-			}
-			if len(ts) == 0 {
-				key := st.Key()
-				if !seenStuck[key] {
-					seenStuck[key] = true
-					cp := make(trace.T, len(cur.prefix))
-					copy(cp, cur.prefix)
-					out = append(out, Deadlock{Trace: cp, State: st})
-				}
-				continue
-			}
-			if len(cur.prefix) >= depth {
-				continue
-			}
-			for _, tr := range ts {
-				if tr.Tau {
-					continue // τ-successors are already inside the closure
-				}
-				k := tr.Ev.String()
-				if _, ok := nextByEvent[k]; !ok {
-					events = append(events, tr.Ev)
-				}
-				nextByEvent[k] = append(nextByEvent[k], tr.Next)
-			}
-		}
-		for _, ev := range events {
-			succs := nextByEvent[ev.String()]
-			var closed []State
-			sig := ""
-			for _, n := range succs {
-				cl, err := x.tauClosure(n)
-				if err != nil {
-					return nil, err
-				}
-				closed = append(closed, cl...)
-			}
-			closed = dedupeStates(closed)
-			for _, c := range closed {
-				sig += c.Key() + "\x01"
-			}
-			key := strconv.Itoa(len(cur.prefix)+1) + "\x02" + sig
-			if visited[key] {
-				continue
-			}
-			visited[key] = true
-			queue = append(queue, item{states: closed, prefix: cur.prefix.Append(ev)})
-		}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package op_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -324,7 +325,7 @@ func TestFindDeadlocks(t *testing.T) {
 		inP("s", "y", one, syntax.Ref{Name: "q"}))})
 	m.MustDefine(syntax.Def{Name: "net", Body: syntax.Par{L: syntax.Ref{Name: "p"}, R: syntax.Ref{Name: "q"}}})
 	env := sem.NewEnv(m, 2)
-	dls, err := op.FindDeadlocks(op.NewState(syntax.Ref{Name: "net"}, env), 4)
+	dls, err := op.FindDeadlocks(context.Background(), op.NewState(syntax.Ref{Name: "net"}, env), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestFindDeadlocks(t *testing.T) {
 
 	// The protocol never deadlocks within the bound.
 	penv := sem.NewEnv(paper.ProtocolSystem(2), 2)
-	dls, err = op.FindDeadlocks(op.NewState(syntax.Ref{Name: paper.NameProtocol}, penv), 5)
+	dls, err = op.FindDeadlocks(context.Background(), op.NewState(syntax.Ref{Name: paper.NameProtocol}, penv), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestFindDeadlocks(t *testing.T) {
 	m2 := syntax.NewModule()
 	m2.MustDefine(syntax.Def{Name: "once", Body: outP("out", syntax.IntLit{Val: 7}, syntax.Stop{})})
 	env2 := sem.NewEnv(m2, 2)
-	dls, err = op.FindDeadlocks(op.NewState(syntax.Ref{Name: "once"}, env2), 4)
+	dls, err = op.FindDeadlocks(context.Background(), op.NewState(syntax.Ref{Name: "once"}, env2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

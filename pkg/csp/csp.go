@@ -679,7 +679,7 @@ func (m *Module) Diverges(ctx context.Context, p Proc, opts EngineOptions) (Trac
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, false, err
 	}
-	return failures.Diverges(p, m.Env(), opts.depth())
+	return failures.Diverges(ctx, p, m.Env(), opts.depth())
 }
 
 // FailuresRefines checks failures refinement impl ⊑F spec; nil means it
