@@ -102,9 +102,9 @@ type Arena struct {
 	events []trace.Event
 
 	bindOnce sync.Once
-	ids      []trace.EventID           // local event index → live id
-	byID     map[trace.EventID]uint32  // live id → local event index
-	order    []uint32                  // edge-table permutation, nil when local order is live order
+	ids      []trace.EventID          // local event index → live id
+	byID     map[trace.EventID]uint32 // live id → local event index
+	order    []uint32                 // edge-table permutation, nil when local order is live order
 
 	thawOnce sync.Once
 	thawed   []*closure.Set
@@ -508,7 +508,7 @@ func (v *NodeView) TracesN(limit int) ([]trace.T, bool) {
 		cp := make(trace.T, len(pfx))
 		copy(cp, pfx)
 		out = append(out, cp)
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n + 1)); j++ {
+		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
 			ev, child := v.a.liveEdge(j)
 			if !walk(int(child), append(pfx, v.a.events[ev])) {
 				return false
@@ -568,7 +568,7 @@ func (v *NodeView) WalkDFS(visit func(path trace.T) bool, push, pop func(ev trac
 		if !visit(path) {
 			return false
 		}
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n + 1)); j++ {
+		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
 			evIdx, child := v.a.liveEdge(j)
 			ev := v.a.events[evIdx]
 			if push != nil {
