@@ -3,6 +3,7 @@ package cspsat_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"os"
@@ -124,6 +125,23 @@ func TestCLITools(t *testing.T) {
 		// Unknown model names are usage errors.
 		if _, code := run(t, bin("cspcheck"), "", "-model", "nope", "specs/nondet.csp"); code != 2 {
 			t.Errorf("unknown -model: exit %d, want 2", code)
+		}
+	})
+
+	t.Run("cspcheck failures model caps hidden chatter", func(t *testing.T) {
+		spec := filepath.Join(t.TempDir(), "chatter.csp")
+		src := "cnt[n:NAT] = c!n -> cnt[n+1]\nsys = chan c; out!0 -> cnt[0]\nassert sys sat deadlockfree\n"
+		if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The guard kills a run that ignores its own -timeout, as a
+		// failures walk with an uncapped τ-closure once did.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, bin("cspcheck"), "-model", "failures", "-depth", "3", "-timeout", "3s", spec).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "τ-closure exceeded 65536 states") {
+			t.Fatalf("err=%v\n%s", err, out)
 		}
 	})
 
