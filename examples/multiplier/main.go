@@ -8,20 +8,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"cspsat/internal/core"
 	"cspsat/internal/paper"
 	"cspsat/internal/trace"
+	"cspsat/pkg/csp"
 )
 
 func main() {
+	ctx := context.Background()
 	v := []int64{5, 3, 2}
-	sys := core.FromModule(paper.MultiplierSystem(v), core.Options{NatWidth: 4})
+	mod := csp.FromModule(paper.MultiplierSystem(v), csp.Options{NatWidth: 4})
+	mult, err := mod.Proc("multiplier")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// --- Execute the 5-process network on goroutines ---
-	run, err := sys.RunMonitored("multiplier", paper.MultiplierSat(), 11, 400)
+	run, err := mod.Run(ctx, mult, csp.EngineOptions{Seed: 11, MaxEvents: 400}, mod.MonitorSat(paper.MultiplierSat()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,11 +56,7 @@ func main() {
 	}
 
 	// --- Exhaustive model check of the invariant ---
-	mult, err := sys.Proc("multiplier")
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := sys.Check(mult, paper.MultiplierSat(), 7)
+	res, err := mod.Sat(ctx, mult, paper.MultiplierSat(), csp.CheckOptions{Depth: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,11 +4,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cspsat/internal/assertion"
-	"cspsat/internal/core"
+	"cspsat/pkg/csp"
 )
 
 const spec = `
@@ -20,43 +21,44 @@ assert buffer sat #in <= #out + 1
 `
 
 func main() {
-	sys, err := core.Load(spec, core.Options{NatWidth: 3})
+	ctx := context.Background()
+	mod, err := csp.Load(ctx, spec, csp.Options{NatWidth: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 1. Check the assertions written in the spec.
-	results, err := sys.CheckAll(8)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(core.FormatAssertResults(results))
+	fmt.Print(csp.FormatAssertResults(results))
 
 	// 2. A false claim produces a concrete counterexample trace.
-	buffer, err := sys.Proc("buffer")
+	buffer, err := mod.Proc("buffer")
 	if err != nil {
 		log.Fatal(err)
 	}
 	wrong := assertion.PrefixLE(assertion.Chan("in"), assertion.Chan("out"))
-	res, err := sys.Check(buffer, wrong, 8)
+	res, err := mod.Sat(ctx, buffer, wrong, csp.CheckOptions{Depth: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfalse claim %q: %s\n", wrong, res)
 
 	// 3. Enumerate the prefix-closed trace set (the paper's denotation).
-	traces, err := sys.Traces(buffer, 3)
+	traces, err := mod.Traces(ctx, buffer, csp.EngineOptions{Depth: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ntraces of buffer up to length 3 (%d):\n", traces.Size())
-	for _, t := range traces.Traces() {
+	fmt.Printf("\ntraces of buffer up to length 3 (%d):\n", traces.Set.Size())
+	for _, t := range traces.Set.Traces() {
 		fmt.Println(" ", t)
 	}
 
 	// 4. Execute the buffer as a goroutine network with the assertion
 	//    monitored online.
-	run, err := sys.RunMonitored("buffer", results[0].Decl.A, 7, 20)
+	run, err := mod.Run(ctx, buffer, csp.EngineOptions{Seed: 7, MaxEvents: 20}, mod.MonitorSat(results[0].Decl.A))
 	if err != nil {
 		log.Fatal(err)
 	}

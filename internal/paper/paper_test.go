@@ -1,6 +1,8 @@
 package paper_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -109,5 +111,27 @@ func TestSpecConstantsParseIdentically(t *testing.T) {
 		!strings.Contains(paper.ProtocolSpec, "protocol =") ||
 		!strings.Contains(paper.MultiplierSpec, "multiplier =") {
 		t.Error("spec constants drifted")
+	}
+}
+
+// TestSpecFilesMatchCanonicalText pins the on-disk spec files to the
+// canonical constants in this package.
+func TestSpecFilesMatchCanonicalText(t *testing.T) {
+	cases := []struct {
+		file string
+		want string
+	}{
+		{"copier.csp", paper.CopierSpec},
+		{"protocol.csp", paper.ProtocolSpec},
+		{"multiplier.csp", paper.MultiplierSpec},
+	}
+	for _, tc := range cases {
+		data, err := os.ReadFile(filepath.Join("..", "..", "specs", tc.file))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if string(data) != tc.want {
+			t.Errorf("specs/%s has drifted from paper.%s constant", tc.file, tc.file)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"cspsat/internal/core"
 	"cspsat/internal/failures"
 	"cspsat/internal/gen"
 	"cspsat/internal/op"
@@ -283,17 +282,14 @@ func sortedKeys(m map[string]bool) []string {
 func TestWalkAnalysesMatchReferenceOnSpecs(t *testing.T) {
 	var total walkFindings
 	for _, s := range specRoots {
-		sys, err := core.LoadFile(specFile(s.file), core.Options{NatWidth: 2})
-		if err != nil {
-			t.Fatalf("loading %s: %v", s.file, err)
-		}
+		mod := loadSpec(t, s.file)
 		for _, root := range s.roots {
 			t.Run(s.file+"/"+root, func(t *testing.T) {
-				p, err := sys.Proc(root)
+				p, err := mod.Proc(root)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, _ := diffWalkAnalyses(t, p, sys.Env(), min(s.depth, walkRefDepth), 0)
+				f, _ := diffWalkAnalyses(t, p, mod.Env(), min(s.depth, walkRefDepth), 0)
 				total.nondet = total.nondet || f.nondet
 				total.diverges = total.diverges || f.diverges
 				total.stuck += f.stuck

@@ -9,16 +9,17 @@ package partests
 // every spec root at the depths the parallel tests use.
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
-	"cspsat/internal/core"
 	"cspsat/internal/op"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
+	"cspsat/pkg/csp"
 )
 
 // refEventKey renders one event unambiguously (channel and message key are
@@ -155,25 +156,22 @@ func refTraces(t *testing.T, p syntax.Proc, env sem.Env, depth int) map[string]b
 // trace sets against refTraces on all seven specs at the standard depths.
 func TestInternedEngineMatchesStringReference(t *testing.T) {
 	for _, s := range specRoots {
-		sys, err := core.LoadFile(specFile(s.file), core.Options{NatWidth: 2})
-		if err != nil {
-			t.Fatalf("loading %s: %v", s.file, err)
-		}
+		mod := loadSpec(t, s.file)
 		for _, root := range s.roots {
 			t.Run(s.file+"/"+root, func(t *testing.T) {
-				p, err := sys.Proc(root)
+				p, err := mod.Proc(root)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sys.Traces(p, s.depth)
+				got, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: s.depth})
 				if err != nil {
 					t.Fatal(err)
 				}
 				gotKeys := map[string]bool{}
-				for _, tr := range got.Traces() {
+				for _, tr := range got.Set.Traces() {
 					gotKeys[refTraceKey(tr)] = true
 				}
-				want := refTraces(t, p, sys.Env(), s.depth)
+				want := refTraces(t, p, mod.Env(), s.depth)
 				if len(gotKeys) != len(want) {
 					t.Errorf("engine has %d traces, reference has %d", len(gotKeys), len(want))
 				}
@@ -199,25 +197,16 @@ func printable(k string) string {
 	return strings.TrimSuffix(strings.ReplaceAll(k, "\x00", " "), " ")
 }
 
-// specFile resolves a spec name the same way loadSpec does; kept as a
-// helper so the core-level loader and the facade loader agree on paths.
-func specFile(name string) string {
-	return "../../specs/" + name
-}
-
 // TestReferenceEnumeratorSane guards the reference itself: on a known tiny
 // spec the reference trace count must match a hand-computable bound, so a
 // bug that silenced both engines equally would still be caught.
 func TestReferenceEnumeratorSane(t *testing.T) {
-	sys, err := core.LoadFile(specFile("copier.csp"), core.Options{NatWidth: 2})
+	mod := loadSpec(t, "copier.csp")
+	p, err := mod.Proc("copier")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sys.Proc("copier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refTraces(t, p, sys.Env(), 2)
+	want := refTraces(t, p, mod.Env(), 2)
 	// copier = input?x -> wire!x -> copier over NAT width 2: at depth 2 the
 	// traces are <>, <input.0>, <input.1>, <input.0 wire.0>, <input.1 wire.1>.
 	keys := make([]string, 0, len(want))

@@ -1,7 +1,7 @@
 // Package pool is the shared worker-pool primitive of the parallel
 // engines: run n independent work items over w goroutines, stop early on
 // the first error or on context cancellation, and report cancellation as
-// csperr.ErrCanceled. All parallel stages in op, sem, proof, and core are
+// csperr.ErrCanceled. All parallel stages in op, sem, proof, and pkg/csp are
 // built from Run so they share one cancellation and error discipline —
 // and one cost model: the adaptive serial/parallel cutover (Adaptive)
 // routes stages too small to amortise goroutine spawn through the inline

@@ -35,8 +35,8 @@ func engineFromName(name string) (Engine, bool) {
 
 // buildArtifact flattens the module's source and recorded results into a
 // store artifact under the given content address. It fails for modules
-// without source text (FromModule/FromSystem) — they have no stable
-// address to store under.
+// without source text (FromModule) — they have no stable address to store
+// under.
 func (m *Module) buildArtifact(key string, createdUnix int64) (*store.Artifact, error) {
 	if m.src == "" {
 		return nil, fmt.Errorf("csp: module has no source text to persist")

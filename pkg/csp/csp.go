@@ -25,14 +25,15 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cspsat/internal/assertion"
 	"cspsat/internal/check"
 	"cspsat/internal/closure"
 	"cspsat/internal/closure/frozen"
-	"cspsat/internal/core"
 	"cspsat/internal/csperr"
 	"cspsat/internal/failures"
 	"cspsat/internal/model"
@@ -101,8 +102,6 @@ type (
 	CheckResult = check.Result
 	// RefineResult is a trace-refinement verdict with witness.
 	RefineResult = check.RefineResult
-	// AssertResult pairs an assert declaration with its verdict.
-	AssertResult = core.AssertResult
 	// AssertDecl is a parsed assert declaration.
 	AssertDecl = parser.AssertDecl
 	// Progress receives engine progress events; see ProgressEvent.
@@ -354,14 +353,19 @@ func (r *TraceResult) TraceSet() *TraceSet {
 // therefore answers without parsing or denoting anything.
 type Module struct {
 	// src and opts are retained for the lazy parse and for persisting the
-	// module as a store artifact. Modules built via FromModule/FromSystem
-	// have no source and are not persistable.
+	// module as a store artifact. Modules built via FromModule have no
+	// source and are not persistable.
 	src  string
 	opts Options
 
-	parse  sync.Once
-	sys    *core.System
-	sysErr error
+	// parse guards the lazy parse; the fields below it are set once by
+	// parsed (or by FromModule) and read-only afterwards.
+	parse    sync.Once
+	syn      *syntax.Module
+	asserts  []AssertDecl
+	env      sem.Env
+	funcs    *assertion.Registry
+	parseErr error
 
 	// res caches computed results per (engine, depth/bound, process) so
 	// resident hosts can serve repeats — and store warm boots — without
@@ -373,17 +377,36 @@ type Module struct {
 	createdUnix int64
 }
 
-// system returns the parsed core.System, parsing on first need. For
+// parsed runs the lazy parse on first need and returns its error. For
 // deferred modules the source already parsed successfully when it was
 // stored, so an error here means the grammar drifted since the artifact
-// was written; engine methods propagate it like any load failure.
-func (m *Module) system() (*core.System, error) {
+// was written; every method that returns an error calls parsed first and
+// propagates it like any load failure.
+func (m *Module) parsed() error {
 	m.parse.Do(func() {
-		if m.sys == nil {
-			m.sys, m.sysErr = core.Load(m.src, core.Options{NatWidth: m.opts.NatWidth, Funcs: m.opts.Funcs})
+		if m.syn != nil {
+			return
 		}
+		f, err := parser.Parse(m.src)
+		if err != nil {
+			m.parseErr = err
+			return
+		}
+		m.setSyntax(f.Module)
+		m.asserts = f.Asserts
 	})
-	return m.sys, m.sysErr
+	return m.parseErr
+}
+
+// setSyntax installs a parsed module with its evaluation environment and
+// assertion-function registry.
+func (m *Module) setSyntax(sm *syntax.Module) {
+	m.syn = sm
+	m.env = sem.NewEnv(sm, m.opts.NatWidth)
+	m.funcs = m.opts.Funcs
+	if m.funcs == nil {
+		m.funcs = assertion.NewRegistry()
+	}
 }
 
 // Load parses a .csp source text. Parse failures wrap ErrParse.
@@ -391,8 +414,8 @@ func Load(ctx context.Context, src string, opts Options) (*Module, error) {
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	m := &Module{src: src, opts: opts}
-	if _, err := m.system(); err != nil {
+	m := newDeferred(src, opts)
+	if err := m.parsed(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -422,80 +445,90 @@ func newDeferred(src string, opts Options) *Module {
 
 // FromModule wraps an already-constructed syntax module (e.g. the paper
 // systems built by internal/paper).
-func FromModule(m *syntax.Module, opts Options) *Module {
-	return &Module{opts: opts, sys: core.FromModule(m, core.Options{NatWidth: opts.NatWidth, Funcs: opts.Funcs})}
+func FromModule(sm *syntax.Module, opts Options) *Module {
+	m := &Module{opts: opts}
+	m.setSyntax(sm)
+	return m
 }
 
-// FromSystem wraps an existing core.System.
-func FromSystem(sys *core.System) *Module { return &Module{sys: sys} }
-
 // Source returns the module's source text; empty for modules built via
-// FromModule/FromSystem.
+// FromModule.
 func (m *Module) Source() string { return m.src }
 
-// System exposes the underlying core.System for callers that need engine
-// plumbing the facade does not cover, forcing the parse if deferred.
-func (m *Module) System() *core.System { sys, _ := m.system(); return sys }
+// The four accessors below return zero values when the source does not
+// parse; every method that returns an error reports the parse error.
 
 // Syntax returns the parsed module (definitions, sets, constants).
-func (m *Module) Syntax() *syntax.Module { return m.System().Module }
+func (m *Module) Syntax() *syntax.Module {
+	_ = m.parsed()
+	return m.syn
+}
 
 // Env returns the module's evaluation environment.
 func (m *Module) Env() sem.Env {
-	sys, err := m.system()
-	if err != nil {
-		return sem.Env{}
-	}
-	return sys.Env()
+	_ = m.parsed()
+	return m.env
 }
 
 // Funcs returns the module's assertion-function registry.
 func (m *Module) Funcs() *assertion.Registry {
-	sys, err := m.system()
-	if err != nil {
-		return nil
-	}
-	return sys.Funcs()
+	_ = m.parsed()
+	return m.funcs
 }
 
 // Asserts returns the module's assert declarations in source order.
 func (m *Module) Asserts() []AssertDecl {
-	sys, err := m.system()
-	if err != nil {
-		return nil
-	}
-	return sys.Asserts
+	_ = m.parsed()
+	return m.asserts
 }
 
-// Proc resolves a defined process by name.
+// Proc resolves a defined process by name; it fails if the name is not
+// defined (or is a process array, which needs a subscript). Its errors,
+// like those of ProcIdx and CheckAll, start with "core:" because the
+// scenario and benchmark goldens pin them byte for byte.
 func (m *Module) Proc(name string) (Proc, error) {
-	sys, err := m.system()
-	if err != nil {
+	if err := m.parsed(); err != nil {
 		return nil, err
 	}
-	return sys.Proc(name)
+	def, ok := m.syn.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("core: process %q not defined", name)
+	}
+	if def.IsArray() {
+		return nil, fmt.Errorf("core: %q is a process array; use ProcIdx", name)
+	}
+	return syntax.Ref{Name: name}, nil
 }
 
 // ProcIdx resolves an element of a process array.
 func (m *Module) ProcIdx(name string, idx int64) (Proc, error) {
-	sys, err := m.system()
-	if err != nil {
+	if err := m.parsed(); err != nil {
 		return nil, err
 	}
-	return sys.ProcIdx(name, idx)
+	def, ok := m.syn.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("core: process %q not defined", name)
+	}
+	if !def.IsArray() {
+		return nil, fmt.Errorf("core: %q is not a process array", name)
+	}
+	return syntax.Ref{Name: name, Sub: syntax.IntLit{Val: idx}}, nil
 }
 
 // Traces computes the visible traces of p under the selected engine. For
 // EngineOp and EngineDenote the set is exact to opts.Depth over the sampled
 // domains; for EngineRuntime it is the prefix closure of one random walk.
 func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*TraceResult, error) {
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
 	depth := opts.depth()
 	switch opts.Engine {
 	case EngineOp:
 		x := op.NewExplorer()
 		x.Workers = opts.Workers
 		x.Progress = opts.Progress
-		set, err := x.TracesContext(ctx, op.NewState(p, m.Env()), depth)
+		set, err := x.TracesContext(ctx, op.NewState(p, m.env), depth)
 		if err != nil {
 			return nil, err
 		}
@@ -504,7 +537,7 @@ func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*Trace
 		d := sem.NewDenoter(depth)
 		d.Workers = opts.Workers
 		d.Progress = opts.Progress
-		set, err := d.DenoteContext(ctx, p, m.Env())
+		set, err := d.DenoteContext(ctx, p, m.env)
 		if err != nil {
 			return nil, err
 		}
@@ -530,6 +563,9 @@ func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors .
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
 	maxEvents := opts.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
@@ -550,7 +586,7 @@ func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors .
 		}
 	}
 	return runtime.Run(p, runtime.Config{
-		Env:       m.Env(),
+		Env:       m.env,
 		Seed:      opts.Seed,
 		MaxEvents: maxEvents,
 		Monitor:   monitor,
@@ -566,13 +602,20 @@ func (m *Module) MonitorSat(a Assertion) Monitor {
 // DotLTS renders the bounded labelled transition system of p as a Graphviz
 // digraph.
 func (m *Module) DotLTS(p Proc, depth int) (string, error) {
-	return op.DotLTS(op.NewState(p, m.Env()), depth)
+	if err := m.parsed(); err != nil {
+		return "", err
+	}
+	return op.DotLTS(op.NewState(p, m.env), depth)
 }
 
 // Checker returns a model checker bound to ctx with the options' model,
 // depth, and exploration worker count.
 func (m *Module) Checker(ctx context.Context, opts CheckOptions) *check.Checker {
-	return m.System().CheckerModel(ctx, opts.Model, opts.depth(), opts.Workers)
+	ck := check.New(m.Env(), m.Funcs(), opts.depth())
+	ck.Ctx = ctx
+	ck.Workers = opts.Workers
+	ck.Model = opts.Model
+	return ck
 }
 
 // Sat model-checks "p sat a" to the options' depth under the options'
@@ -580,6 +623,9 @@ func (m *Module) Checker(ctx context.Context, opts CheckOptions) *check.Checker 
 // under ModelTraces and are discharged against acceptance families under
 // ModelFailures.
 func (m *Module) Sat(ctx context.Context, p Proc, a Assertion, opts CheckOptions) (CheckResult, error) {
+	if err := m.parsed(); err != nil {
+		return CheckResult{}, err
+	}
 	return m.Checker(ctx, opts).Sat(p, a)
 }
 
@@ -587,6 +633,9 @@ func (m *Module) Sat(ctx context.Context, p Proc, a Assertion, opts CheckOptions
 // options' model: trace refinement by default, stable-failures refinement
 // under ModelFailures.
 func (m *Module) Refines(ctx context.Context, impl, spec Proc, opts CheckOptions) (RefineResult, error) {
+	if err := m.parsed(); err != nil {
+		return RefineResult{}, err
+	}
 	return m.Checker(ctx, opts).Refines(impl, spec)
 }
 
@@ -629,25 +678,124 @@ func (m *Module) Deadlocks(ctx context.Context, p Proc, opts CheckOptions) ([]De
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
 	return m.Checker(ctx, opts).Deadlocks(p)
 }
 
+// AssertResult pairs an assert declaration with its check outcome: Result
+// for sat-asserts, Refine for refinement asserts.
+type AssertResult struct {
+	Decl   AssertDecl
+	Result CheckResult
+	Refine *RefineResult
+}
+
+// OK reports whether the assert held.
+func (r AssertResult) OK() bool {
+	if r.Refine != nil {
+		return r.Refine.OK
+	}
+	return r.Result.OK
+}
+
 // CheckAll model-checks every assert declaration of the module under the
-// options' model, distributing them across opts.Workers goroutines. A
-// declaration that pins its own model ("assert P refines Q in failures")
-// overrides opts.Model for that declaration.
+// options' model, expanding quantified sat-asserts over their (sampled)
+// domains. The declarations are distributed across a pool of opts.Workers
+// goroutines (each check itself runs serially — asserts outnumber cores
+// long before a single assert does), results come back in declaration
+// order, and opts.Progress receives a "check" stage event per completed
+// assert. A declaration that pins its own model ("assert P refines Q in
+// failures") overrides opts.Model for that declaration.
 func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResult, error) {
-	sys, err := m.system()
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	n := len(m.asserts)
+	out := make([]AssertResult, n)
+	var done atomic.Int64
+	// Asserts are whole model checks, so like proof batches the adaptive
+	// cutover is just "more than one" — and WorkersAuto resolves to the
+	// machine size.
+	err := pool.Run(ctx, pool.Adaptive(opts.Workers, n, 2), n, func(i int) error {
+		decl := m.asserts[i]
+		dopts := CheckOptions{Model: opts.Model, Depth: opts.Depth, Workers: 1}
+		if decl.Model != model.Traces {
+			dopts.Model = decl.Model
+		}
+		ck := m.Checker(ctx, dopts)
+		if decl.Refines != nil {
+			rr, err := ck.Refines(decl.Proc, decl.Refines)
+			if err != nil {
+				return fmt.Errorf("core: %s: %w", decl, err)
+			}
+			out[i] = AssertResult{Decl: decl, Refine: &rr}
+		} else {
+			res, err := m.checkQuantified(ck, decl.Quants, decl.Proc, decl.A)
+			if err != nil {
+				return fmt.Errorf("core: %s: %w", decl, err)
+			}
+			out[i] = AssertResult{Decl: decl, Result: res}
+		}
+		opts.Progress.Emit(progress.Event{
+			Stage:   "check",
+			Items:   int(done.Add(1)),
+			Total:   n,
+			Elapsed: time.Since(start),
+		})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return sys.CheckAllModel(ctx, opts.Model, opts.depth(), opts.Workers, opts.Progress)
+	opts.Progress.Emit(progress.Event{
+		Stage:   "check",
+		Items:   n,
+		Total:   n,
+		Elapsed: time.Since(start),
+		Done:    true,
+	})
+	return out, nil
+}
+
+// checkQuantified checks p sat a for every instance of the quantified
+// variables, stopping at the first violated instance.
+func (m *Module) checkQuantified(ck *check.Checker, quants []parser.Quant, p Proc, a Assertion) (CheckResult, error) {
+	if len(quants) == 0 {
+		return ck.Sat(p, a)
+	}
+	q := quants[0]
+	dom, err := m.env.EvalSet(q.Dom)
+	if err != nil {
+		return CheckResult{}, err
+	}
+	total := CheckResult{OK: true, Depth: ck.Depth()}
+	for _, v := range dom.Enumerate() {
+		inst := syntax.SubstProc(p, q.Var, sem.ValueToExpr(v))
+		instA := assertion.SubstVar(a, q.Var, assertion.Lit{Val: v})
+		r, err := m.checkQuantified(ck, quants[1:], inst, instA)
+		if err != nil {
+			return CheckResult{}, fmt.Errorf("%s=%v: %w", q.Var, v, err)
+		}
+		total.TracesChecked += r.TracesChecked
+		if !r.OK {
+			r.TracesChecked = total.TracesChecked
+			return r, nil
+		}
+	}
+	return total, nil
 }
 
 // Prover returns a proof checker bound to ctx under the options' validity
-// configuration.
+// configuration; nil Validity means the prover defaults (history length
+// ≤ 3, NAT-sampled domains).
 func (m *Module) Prover(ctx context.Context, opts CheckOptions) *proof.Checker {
-	c := m.System().Prover(opts.Validity)
+	c := proof.NewChecker(m.Env(), m.Funcs())
+	if opts.Validity != nil {
+		c.Validity = *opts.Validity
+	}
 	c.Ctx = ctx
 	return c
 }
@@ -655,12 +803,18 @@ func (m *Module) Prover(ctx context.Context, opts CheckOptions) *proof.Checker {
 // Check verifies one proof object and returns its conclusion. Failed pure
 // side conditions wrap ErrObligationFailed; cancellation wraps ErrCanceled.
 func (m *Module) Check(ctx context.Context, p Proof, opts CheckOptions) (Claim, error) {
+	if err := m.parsed(); err != nil {
+		return Claim{}, err
+	}
 	return m.Prover(ctx, opts).Check(p)
 }
 
 // CheckBatch verifies many independent proofs across opts.Workers
 // goroutines; see proof.CheckBatch for the result contract.
 func (m *Module) CheckBatch(ctx context.Context, obs []Obligation, opts CheckOptions) ([]BatchResult, error) {
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
 	return proof.CheckBatch(ctx, m.Prover(nil, opts), obs, opts.Workers, opts.Progress)
 }
 
@@ -670,7 +824,10 @@ func (m *Module) Failures(ctx context.Context, p Proc, opts EngineOptions) (*Fai
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	return failures.ComputeContext(ctx, p, m.Env(), opts.depth())
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
+	return failures.ComputeContext(ctx, p, m.env, opts.depth())
 }
 
 // Diverges reports whether p can engage in unbounded hidden chatter within
@@ -679,7 +836,10 @@ func (m *Module) Diverges(ctx context.Context, p Proc, opts EngineOptions) (Trac
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, false, err
 	}
-	return failures.Diverges(ctx, p, m.Env(), opts.depth())
+	if err := m.parsed(); err != nil {
+		return nil, false, err
+	}
+	return failures.Diverges(ctx, p, m.env, opts.depth())
 }
 
 // FailuresRefines checks failures refinement impl ⊑F spec; nil means it
@@ -695,7 +855,40 @@ func FailuresEquivalent(a, b *FailuresModel) (*FailuresCounterexample, error) {
 
 // FormatAssertResults renders CheckAll results as an aligned report.
 func FormatAssertResults(results []AssertResult) string {
-	return core.FormatAssertResults(results)
+	var sb strings.Builder
+	for _, r := range results {
+		status := "OK  "
+		if !r.OK() {
+			status = "FAIL"
+		}
+		if r.Refine != nil {
+			fmt.Fprintf(&sb, "%s  %-70s (%s model, depth %d)\n", status, r.Decl.String(), r.Refine.Model, r.Refine.Depth)
+			if !r.Refine.OK {
+				if r.Refine.Failure != nil && r.Refine.Failure.ImplAcceptance != nil {
+					fmt.Fprintf(&sb, "      witness: after %s impl stably offers only %s, which spec never permits\n",
+						r.Refine.Witness, r.Refine.Failure.ImplAcceptance)
+				} else {
+					fmt.Fprintf(&sb, "      witness: impl performs %s which spec cannot\n", r.Refine.Witness)
+				}
+			}
+			continue
+		}
+		if r.Result.Vacuous {
+			fmt.Fprintf(&sb, "%s  %-70s (vacuous under traces model; re-check with -model failures)\n",
+				status, r.Decl.String())
+			continue
+		}
+		fmt.Fprintf(&sb, "%s  %-70s (%d traces, depth %d)\n",
+			status, r.Decl.String(), r.Result.TracesChecked, r.Result.Depth)
+		if !r.Result.OK {
+			if r.Result.Refusal != nil {
+				fmt.Fprintf(&sb, "      counterexample: %s\n", r.Result.Refusal)
+			} else {
+				fmt.Fprintf(&sb, "      counterexample: %s\n", r.Result.Counter)
+			}
+		}
+	}
+	return sb.String()
 }
 
 // Stats aggregates the intern and operator-memo counters across every

@@ -59,10 +59,13 @@ type ProveResult struct {
 // ProveAsserts synthesises and checks §2.1-style proofs for the module's
 // assert clauses using the automatic prover. log, when non-nil, receives
 // one line per verified rule application. The returned error is non-nil
-// only when ctx was canceled; individual unprovable asserts are reported
-// per-result, and results produced before the cancellation are returned
-// alongside the error.
+// only when the source does not parse or ctx was canceled; individual
+// unprovable asserts are reported per-result, and results produced before
+// the cancellation are returned alongside the error.
 func (m *Module) ProveAsserts(ctx context.Context, opts CheckOptions, log func(string)) ([]ProveResult, error) {
+	if err := m.parsed(); err != nil {
+		return nil, err
+	}
 	prover := m.Prover(ctx, opts)
 	if log != nil {
 		prover.Log = log

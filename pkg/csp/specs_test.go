@@ -1,50 +1,28 @@
-package core_test
+package csp_test
 
 import (
-	"os"
-	"path/filepath"
+	"context"
 	"testing"
 
-	"cspsat/internal/core"
-	"cspsat/internal/paper"
+	"cspsat/pkg/csp"
 )
 
-// specPath locates a file in the repository's specs/ directory.
-func specPath(t *testing.T, name string) string {
+// loadSpec loads a file from the repository's specs/ directory.
+func loadSpec(t *testing.T, name string) *csp.Module {
 	t.Helper()
-	return filepath.Join("..", "..", "specs", name)
-}
-
-// TestSpecFilesMatchCanonicalText pins the on-disk spec files to the
-// canonical constants in internal/paper.
-func TestSpecFilesMatchCanonicalText(t *testing.T) {
-	cases := []struct {
-		file string
-		want string
-	}{
-		{"copier.csp", paper.CopierSpec},
-		{"protocol.csp", paper.ProtocolSpec},
-		{"multiplier.csp", paper.MultiplierSpec},
+	mod, err := csp.Load(context.Background(), readSpec(t, name), csp.Options{NatWidth: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		data, err := os.ReadFile(specPath(t, tc.file))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if string(data) != tc.want {
-			t.Errorf("specs/%s has drifted from paper.%s constant", tc.file, tc.file)
-		}
-	}
+	return mod
 }
 
 // TestBuffersSpec checks the refinement demo end to end, including the
 // refinement assert and its direction.
 func TestBuffersSpec(t *testing.T) {
-	sys, err := core.LoadFile(specPath(t, "buffers.csp"), core.Options{NatWidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sys.CheckAll(7)
+	ctx := context.Background()
+	mod := loadSpec(t, "buffers.csp")
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +35,15 @@ func TestBuffersSpec(t *testing.T) {
 		}
 	}
 	// The converse refinement must fail: buf2 has traces buf1 lacks.
-	buf1, err := sys.Proc("buf1")
+	buf1, err := mod.Proc("buf1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2, err := sys.Proc("buf2")
+	buf2, err := mod.Proc("buf2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := sys.Checker(7).Refines(buf2, buf1)
+	rr, err := mod.Refines(ctx, buf2, buf1, csp.CheckOptions{Depth: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +58,9 @@ func TestBuffersSpec(t *testing.T) {
 // TestTokenRingSpec checks the ring's round-robin invariant and
 // deadlock freedom.
 func TestTokenRingSpec(t *testing.T) {
-	sys, err := core.LoadFile(specPath(t, "tokenring.csp"), core.Options{NatWidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sys.CheckAll(9)
+	ctx := context.Background()
+	mod := loadSpec(t, "tokenring.csp")
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +69,11 @@ func TestTokenRingSpec(t *testing.T) {
 			t.Errorf("failed: %s: %s", r.Decl, r.Result)
 		}
 	}
-	ringSys, err := sys.Proc("sys")
+	ring, err := mod.Proc("sys")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dls, err := sys.Checker(8).Deadlocks(ringSys)
+	dls, err := mod.Deadlocks(ctx, ring, csp.CheckOptions{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +81,15 @@ func TestTokenRingSpec(t *testing.T) {
 		t.Fatalf("token ring deadlocks after %s", dls[0].Trace)
 	}
 	// The ring is deterministic: exactly one maximal behaviour.
-	traces, err := sys.Traces(ringSys, 8)
+	traces, err := mod.Traces(ctx, ring, csp.EngineOptions{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(traces.TracesMax()); got != 1 {
+	if got := len(traces.Set.TracesMax()); got != 1 {
 		t.Errorf("token ring should be deterministic, found %d maximal traces", got)
 	}
 	// Runtime execution respects round-robin order.
-	run, err := sys.RunMonitored("sys", sys.Asserts[0].A, 5, 40)
+	run, err := mod.Run(ctx, ring, csp.EngineOptions{Seed: 5, MaxEvents: 40}, mod.MonitorSat(mod.Asserts()[0].A))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +101,10 @@ func TestTokenRingSpec(t *testing.T) {
 // TestPhilosophersSpec: the classic deadlock story, with partial
 // correctness blind to it — the §4 limitation on a famous example.
 func TestPhilosophersSpec(t *testing.T) {
-	sys, err := core.LoadFile(specPath(t, "philosophers.csp"), core.Options{NatWidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	mod := loadSpec(t, "philosophers.csp")
 	// Both tables pass their (identical) sat-assertions...
-	results, err := sys.CheckAll(5)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +114,23 @@ func TestPhilosophersSpec(t *testing.T) {
 		}
 	}
 	// ...but only the naive one deadlocks.
-	bad, err := sys.Proc("deadlocking")
+	bad, err := mod.Proc("deadlocking")
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := sys.Proc("safe")
+	good, err := mod.Proc("safe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := sys.Checker(6)
-	dls, err := ck.Deadlocks(bad)
+	opts := csp.CheckOptions{Depth: 6}
+	dls, err := mod.Deadlocks(ctx, bad, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dls) == 0 {
 		t.Fatal("naive table's deadlock not found")
 	}
-	dls, err = ck.Deadlocks(good)
+	dls, err = mod.Deadlocks(ctx, good, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +138,7 @@ func TestPhilosophersSpec(t *testing.T) {
 		t.Fatalf("left-handed table deadlocks after %s", dls[0].Trace)
 	}
 	// The failures model sees it too: the naive table may refuse all eats.
-	m, err := sys.Failures(bad, 2)
+	m, err := mod.Failures(ctx, bad, csp.EngineOptions{Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
