@@ -403,16 +403,6 @@ func BenchmarkParserThroughput(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulatorWalk(b *testing.B) {
-	env := sem.NewEnv(paper.ProtocolSystem(2), 2)
-	for i := 0; i < b.N; i++ {
-		sim := op.NewSimulator(int64(i))
-		if _, _, err := sim.Walk(op.NewState(syntax.Ref{Name: paper.NameProtocol}, env), 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBoundedValidity(b *testing.B) {
 	env := sem.NewEnv(syntax.NewModule(), 2)
 	trans := assertion.Implies{

@@ -165,15 +165,3 @@ func PrefixLE(l, r Term) A { return Cmp{Op: CLe, L: l, R: r} }
 
 // Eq returns l == r.
 func Eq(l, r Term) A { return Cmp{Op: CEq, L: l, R: r} }
-
-// AndAll folds a list of assertions into a conjunction (true when empty).
-func AndAll(as ...A) A {
-	if len(as) == 0 {
-		return True()
-	}
-	out := as[0]
-	for _, a := range as[1:] {
-		out = And{L: out, R: a}
-	}
-	return out
-}

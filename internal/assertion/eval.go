@@ -31,11 +31,6 @@ func (c *Ctx) Bind(x string, v value.V) *Ctx {
 	return &Ctx{Env: c.Env.Bind(x, v), Hist: c.Hist, Funcs: c.Funcs}
 }
 
-// WithHist returns a context evaluating against a different history.
-func (c *Ctx) WithHist(h trace.History) *Ctx {
-	return &Ctx{Env: c.Env, Hist: h, Funcs: c.Funcs}
-}
-
 // EvalTerm evaluates a term to a value under the context.
 func EvalTerm(t Term, ctx *Ctx) (value.V, error) {
 	switch x := t.(type) {

@@ -21,7 +21,6 @@ import (
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
-	"cspsat/internal/value"
 )
 
 // Violation is a counterexample to P sat R: a trace of P whose history
@@ -103,12 +102,6 @@ func New(env sem.Env, funcs *assertion.Registry, depth int) *Checker {
 	return &Checker{env: env, funcs: funcs, depth: depth}
 }
 
-// Env returns the checker's environment.
-func (c *Checker) Env() sem.Env { return c.env }
-
-// Funcs returns the checker's function registry.
-func (c *Checker) Funcs() *assertion.Registry { return c.funcs }
-
 // Depth returns the trace-length bound.
 func (c *Checker) Depth() int { return c.depth }
 
@@ -128,8 +121,7 @@ func (c *Checker) traces(p syntax.Proc) (*closure.Set, error) {
 
 // Sat checks P sat R: every trace of p (to the depth bound) must satisfy a.
 // Free variables of a must be bound in the checker's environment or
-// quantified inside a; use SatForAll for the paper's implicitly quantified
-// shared variables.
+// quantified inside a.
 func (c *Checker) Sat(p syntax.Proc, a assertion.A) (Result, error) {
 	if assertion.Behavioural(a) {
 		return c.satBehavioural(p, a)
@@ -211,29 +203,6 @@ func (c *Checker) failuresModel(p syntax.Proc) (*failures.Model, error) {
 		return nil, fmt.Errorf("check: computing failures of %s: %w", p, err)
 	}
 	return fm, nil
-}
-
-// SatForAll checks "∀x∈dom. P[x] sat R[x]" by instantiating the shared
-// variable x with every value of the (sampled) domain — the paper's reading
-// of a free variable occurring in both P and R.
-func (c *Checker) SatForAll(x string, dom value.Domain, p syntax.Proc, a assertion.A) (Result, error) {
-	var total Result
-	total.OK = true
-	total.Depth = c.depth
-	for _, v := range dom.Enumerate() {
-		inst := syntax.SubstProc(p, x, sem.ValueToExpr(v))
-		instA := assertion.SubstVar(a, x, assertion.Lit{Val: v})
-		r, err := c.Sat(inst, instA)
-		if err != nil {
-			return Result{}, fmt.Errorf("check: instance %s=%v: %w", x, v, err)
-		}
-		total.TracesChecked += r.TracesChecked
-		if !r.OK {
-			r.TracesChecked = total.TracesChecked
-			return r, nil
-		}
-	}
-	return total, nil
 }
 
 // RefineResult reports a refinement check under some semantic model.

@@ -76,13 +76,17 @@ func TestProtocolSatisfiesPaperClaims(t *testing.T) {
 		}
 	})
 	t.Run("E5 lemma forall x. q[x] sat f(wire)<=x^input", func(t *testing.T) {
-		dom := value.IntRange{Lo: 0, Hi: 1}
-		res, err := c.SatForAll("x", dom, syntax.Ref{Name: paper.NameQ, Sub: syntax.Var{Name: "x"}}, paper.QSat())
-		if err != nil {
-			t.Fatalf("SatForAll: %v", err)
-		}
-		if !res.OK {
-			t.Fatalf("violated: %s", res)
+		// The shared variable x ranges over the sampled messages {0, 1};
+		// each instance q[v] sat R[v/x] is checked on its own.
+		for v := int64(0); v <= 1; v++ {
+			q := syntax.Ref{Name: paper.NameQ, Sub: syntax.IntLit{Val: v}}
+			res, err := c.Sat(q, assertion.SubstVar(paper.QSat(), "x", assertion.Lit{Val: value.Int(v)}))
+			if err != nil {
+				t.Fatalf("Sat x=%d: %v", v, err)
+			}
+			if !res.OK {
+				t.Fatalf("violated for x=%d: %s", v, res)
+			}
 		}
 	})
 	t.Run("E6 receiver sat output<=f(wire)", func(t *testing.T) {

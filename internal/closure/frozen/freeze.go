@@ -80,9 +80,6 @@ func (b *Builder) eventIndex(ev trace.Event) uint32 {
 	return idx
 }
 
-// NumNodes returns the node count so far, node 0 included.
-func (b *Builder) NumNodes() int { return len(b.nodeEdges) }
-
 // Finish assembles the image and re-opens it through the same validator
 // every untrusted load goes through — a freshly frozen arena is proven
 // loadable before it is ever written. The builder must not be used after.

@@ -295,9 +295,6 @@ func (a *Arena) NumNodes() int { return a.nNodes }
 // NumEdges returns the total edge count.
 func (a *Arena) NumEdges() int { return a.nEdges }
 
-// NumEvents returns the size of the local event symbol table.
-func (a *Arena) NumEvents() int { return len(a.events) }
-
 // AttachCloser registers a release hook for the image's backing storage
 // (munmap, typically). It runs at most once, when the Arena is garbage
 // collected — the store layer arranges that via a finalizer — or when

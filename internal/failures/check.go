@@ -2,7 +2,6 @@ package failures
 
 import (
 	"fmt"
-	"strings"
 
 	"cspsat/internal/trace"
 )
@@ -83,13 +82,4 @@ func (m *Model) CheckOffers(chans []trace.Chan) CheckResult {
 		}
 	}
 	return res
-}
-
-// FormatChans renders a channel list the way assertions spell it.
-func FormatChans(chans []trace.Chan) string {
-	parts := make([]string, len(chans))
-	for i, c := range chans {
-		parts[i] = string(c)
-	}
-	return strings.Join(parts, ",")
 }

@@ -86,9 +86,6 @@ type entry struct {
 	accs  []Acceptance
 }
 
-// Depth returns the trace-length bound the model is exhaustive up to.
-func (m *Model) Depth() int { return m.depth }
-
 // Compute explores the process and builds its stable-failures model to the
 // given visible-trace depth.
 func Compute(p syntax.Proc, env sem.Env, depth int) (*Model, error) {

@@ -245,43 +245,6 @@ func TestVisibleEventsMenu(t *testing.T) {
 	}
 }
 
-func TestSimulatorWalks(t *testing.T) {
-	env := sem.NewEnv(paper.ProtocolSystem(2), 2)
-	sim := op.NewSimulator(7)
-	visible, log, err := sim.Walk(op.NewState(syntax.Ref{Name: paper.NameProtocol}, env), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visible) != 6 {
-		t.Fatalf("visible = %s", visible)
-	}
-	if len(log) < len(visible) {
-		t.Fatalf("log shorter than visible trace")
-	}
-	// Determinism under seed.
-	sim2 := op.NewSimulator(7)
-	v2, _, err := sim2.Walk(op.NewState(syntax.Ref{Name: paper.NameProtocol}, env), 6)
-	if err != nil || !visible.Equal(v2) {
-		t.Fatalf("same seed, different walks: %s vs %s", visible, v2)
-	}
-}
-
-func TestSimulatorDetectsHiddenDivergence(t *testing.T) {
-	m := syntax.NewModule()
-	m.MustDefine(syntax.Def{Name: "q", Body: outP("c", syntax.IntLit{Val: 0}, syntax.Ref{Name: "q"})})
-	m.MustDefine(syntax.Def{Name: "p", Body: syntax.Hiding{
-		Channels: []syntax.ChanItem{{Name: "c"}},
-		Body:     syntax.Ref{Name: "q"},
-	}})
-	env := sem.NewEnv(m, 2)
-	sim := op.NewSimulator(1)
-	sim.MaxTauRun = 32
-	_, _, err := sim.Walk(op.NewState(syntax.Ref{Name: "p"}, env), 3)
-	if err == nil || !strings.Contains(err.Error(), "divergence") {
-		t.Fatalf("divergence not flagged: %v", err)
-	}
-}
-
 func TestOfferStrings(t *testing.T) {
 	env := emptyEnv(2)
 	offs, err := op.Offers(op.NewState(inP("c", "x", natDom(), syntax.Stop{}), env))

@@ -6,7 +6,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -449,14 +448,4 @@ func ParseTrace(s string) (trace.T, error) {
 		t = append(t, trace.Event{Chan: trace.Chan(ch), Msg: v})
 	}
 	return t, nil
-}
-
-// SortedEngineNames lists an artifact's engines deterministically.
-func (a *Artifact) SortedEngineNames() []string {
-	names := make([]string, 0, len(a.Engines))
-	for n := range a.Engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

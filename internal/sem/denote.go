@@ -450,11 +450,3 @@ func (d *Denoter) refKey(r syntax.Ref, env Env) (string, error) {
 func Denote(p syntax.Proc, env Env, depth int) (*closure.Set, error) {
 	return NewDenoter(depth).Denote(p, env)
 }
-
-// DenoteContext is the context-aware convenience wrapper: a fresh Denoter
-// with the given worker count (≤ 1 for serial) under ctx.
-func DenoteContext(ctx context.Context, p syntax.Proc, env Env, depth, workers int) (*closure.Set, error) {
-	d := NewDenoter(depth)
-	d.Workers = workers
-	return d.DenoteContext(ctx, p, env)
-}

@@ -12,12 +12,8 @@ package syntax
 // identities that downstream caches (alphabet channel lists, literal
 // domains) key on.
 
-// SubstExpr returns e with every free occurrence of variable x replaced by r.
-func SubstExpr(e Expr, x string, r Expr) Expr {
-	out, _ := substExpr(e, x, r)
-	return out
-}
-
+// substExpr returns e with every free occurrence of variable x replaced by
+// r, and whether anything changed.
 func substExpr(e Expr, x string, r Expr) (Expr, bool) {
 	switch t := e.(type) {
 	case IntLit, SymLit:
@@ -90,12 +86,7 @@ func substSet(s SetExpr, x string, r Expr) (SetExpr, bool) {
 	}
 }
 
-// SubstChanRef substitutes inside a channel subscript.
-func SubstChanRef(c ChanRef, x string, r Expr) ChanRef {
-	out, _ := substChanRef(c, x, r)
-	return out
-}
-
+// substChanRef substitutes inside a channel subscript.
 func substChanRef(c ChanRef, x string, r Expr) (ChanRef, bool) {
 	if c.Sub == nil {
 		return c, false

@@ -170,15 +170,6 @@ func (t T) ProjectOnto(x Set) T {
 	return out
 }
 
-// Channels returns the set of channels on which t communicates.
-func (t T) Channels() Set {
-	s := NewSet()
-	for _, e := range t {
-		s.Add(e.Chan)
-	}
-	return s
-}
-
 // Key returns a canonical string identity for the trace, for use as a map key.
 func (t T) Key() string {
 	var sb strings.Builder
