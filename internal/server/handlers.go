@@ -300,16 +300,14 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 	return resp, fmt.Errorf("%w: unknown kind %q", errBadRequest, kind)
 }
 
+// parseEngine keeps the wire text "unknown engine %q" rather than
+// csp.ParseEngine's longer message.
 func parseEngine(name string) (csp.Engine, error) {
-	switch name {
-	case "", "op":
-		return csp.EngineOp, nil
-	case "denote":
-		return csp.EngineDenote, nil
-	case "runtime":
-		return csp.EngineRuntime, nil
+	engine, err := csp.ParseEngine(name)
+	if err != nil {
+		return engine, fmt.Errorf("%w: unknown engine %q", errBadRequest, name)
 	}
-	return 0, fmt.Errorf("%w: unknown engine %q", errBadRequest, name)
+	return engine, nil
 }
 
 func parseModel(name string) (csp.Model, error) {

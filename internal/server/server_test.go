@@ -175,20 +175,24 @@ func TestEndpoints(t *testing.T) {
 
 	t.Run("error mapping", func(t *testing.T) {
 		for _, tc := range []struct {
-			path string
-			body map[string]any
-			want int
+			path    string
+			body    map[string]any
+			want    int
+			wantErr string
 		}{
-			{"/v1/check", map[string]any{"source": "p = (("}, http.StatusBadRequest},
-			{"/v1/traces", map[string]any{"source": copier, "process": "nosuch"}, http.StatusNotFound},
-			{"/v1/traces", map[string]any{"source": copier}, http.StatusBadRequest},
-			{"/v1/check", map[string]any{}, http.StatusBadRequest},
-			{"/v1/traces", map[string]any{"source": copier, "process": "copier", "engine": "quantum"}, http.StatusBadRequest},
-			{"/v1/batch", map[string]any{"requests": []map[string]any{}}, http.StatusBadRequest},
+			{"/v1/check", map[string]any{"source": "p = (("}, http.StatusBadRequest, ""},
+			{"/v1/traces", map[string]any{"source": copier, "process": "nosuch"}, http.StatusNotFound, `unknown process: core: process "nosuch" not defined`},
+			{"/v1/traces", map[string]any{"source": copier}, http.StatusBadRequest, ""},
+			{"/v1/check", map[string]any{}, http.StatusBadRequest, ""},
+			{"/v1/traces", map[string]any{"source": copier, "process": "copier", "engine": "quantum"}, http.StatusBadRequest, `bad request: unknown engine "quantum"`},
+			{"/v1/batch", map[string]any{"requests": []map[string]any{}}, http.StatusBadRequest, ""},
 		} {
 			code, out := post(t, h, nil, tc.path, tc.body)
 			if code != tc.want {
 				t.Errorf("%s %v: code=%d want %d (%v)", tc.path, tc.body, code, tc.want, out)
+			}
+			if tc.wantErr != "" && out["error"] != tc.wantErr {
+				t.Errorf("%s %v: error=%q want %q", tc.path, tc.body, out["error"], tc.wantErr)
 			}
 		}
 	})
