@@ -2,7 +2,7 @@ package op
 
 import (
 	"context"
-	"strings"
+	"encoding/binary"
 
 	"cspsat/internal/trace"
 )
@@ -24,16 +24,21 @@ type Deadlock struct {
 // csperr.ErrCanceled once ctx is done.
 func FindDeadlocks(ctx context.Context, s State, depth int) ([]Deadlock, error) {
 	var out []Deadlock
-	seenStuck := map[string]bool{}
+	seenStuck := map[uint32]bool{}
 	// A state set already met at the same trace length has the same stuck
 	// states and the same subtree, so it is skipped before it is stepped.
+	// The set is keyed by its states' table ids.
 	type setKey struct {
 		length int
 		states string
 	}
 	visited := map[setKey]bool{}
 	err := new(Explorer).Walk(ctx, s, depth, func(n *Node) error {
-		k := setKey{len(n.Trace), strings.Join(n.Keys, "\x01")}
+		ids := make([]byte, 0, 4*len(n.ids))
+		for _, id := range n.ids {
+			ids = binary.LittleEndian.AppendUint32(ids, id)
+		}
+		k := setKey{len(n.Trace), string(ids)}
 		if visited[k] {
 			return SkipNode
 		}
@@ -44,8 +49,8 @@ func FindDeadlocks(ctx context.Context, s State, depth int) ([]Deadlock, error) 
 		}
 		for i, ts := range steps {
 			// A state is stuck when it enables nothing at all.
-			if len(ts) == 0 && !seenStuck[n.Keys[i]] {
-				seenStuck[n.Keys[i]] = true
+			if len(ts) == 0 && !seenStuck[n.ids[i]] {
+				seenStuck[n.ids[i]] = true
 				cp := make(trace.T, len(n.Trace))
 				copy(cp, n.Trace)
 				out = append(out, Deadlock{Trace: cp, State: n.States[i]})

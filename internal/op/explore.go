@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"cspsat/internal/closure"
 	"cspsat/internal/csperr"
@@ -52,36 +53,98 @@ type Explorer struct {
 	Progress progress.Func
 
 	// memo caches set(state, budget) by comparable struct key — the
-	// budget plus the explorer-local dense id of the state — so a lookup
-	// neither allocates nor hashes the full state string (ids finish the
-	// string→id migration of DESIGN.md §3.4 inside the explorer).
+	// budget plus the state's table id — so a lookup neither allocates
+	// nor hashes the full state string. It is confined to the exploring
+	// goroutine (the parallel path touches it only between pool barriers).
 	memo map[memoKey]*closure.Set
-	// ids interns state keys to the dense ids memo keys use. Both maps
-	// are confined to the exploring goroutine (the parallel path touches
-	// them only between pool barriers).
-	ids map[string]uint32
+
+	// mu guards the state table: ids gives each distinct state key met in
+	// this explorer's explorations a dense id, and states[id] is its
+	// record. Pool workers share the table; Step runs outside mu.
+	mu     sync.Mutex
+	ids    map[string]uint32
+	states []stateRec
+}
+
+// stateRec is one row of the explorer's state table: a state, its key
+// and, once the state has been stepped, its transitions in Step order
+// with next[i] the id of trans[i].Next. The table steps every state at
+// most once, so every analysis reads a state's transitions from here
+// instead of stepping it again; it caches nothing per trace or per
+// τ-closure, keeping it O(states + transitions).
+type stateRec struct {
+	state   State
+	key     string
+	stepped bool
+	trans   []Transition
+	next    []uint32
 }
 
 // memoKey identifies one memo entry: a remaining trace-length budget and
-// the explorer-local id of the state it was computed from.
+// the table id of the state it was computed from.
 type memoKey struct {
 	depth int
 	state uint32
 }
 
-// stateID interns a state key to the explorer-local dense id used in memo
-// keys. Not safe for concurrent use; callers hold the single-goroutine
-// discipline of memo itself.
-func (x *Explorer) stateID(key string) uint32 {
+// intern returns the table id of s, adding s to the table if it is new.
+func (x *Explorer) intern(s State) uint32 {
+	key := s.Key()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.internLocked(s, key)
+}
+
+// internLocked is intern for a caller that holds x.mu and has rendered
+// the key already.
+func (x *Explorer) internLocked(s State, key string) uint32 {
 	if id, ok := x.ids[key]; ok {
 		return id
 	}
 	if x.ids == nil {
 		x.ids = map[string]uint32{}
 	}
-	id := uint32(len(x.ids))
+	id := uint32(len(x.states))
 	x.ids[key] = id
+	x.states = append(x.states, stateRec{state: s, key: key})
 	return id
+}
+
+// step returns Step of the state with the given id and the ids of the
+// successors, stepping the state on its first call only. The slices are
+// shared by every caller and must not be modified. Two workers that step
+// the same unstepped state at once both compute it; the first to record
+// it wins, and both return that record.
+func (x *Explorer) step(id uint32) ([]Transition, []uint32, error) {
+	x.mu.Lock()
+	rec := &x.states[id]
+	if rec.stepped {
+		trans, next := rec.trans, rec.next
+		x.mu.Unlock()
+		return trans, next, nil
+	}
+	s := rec.state
+	x.mu.Unlock()
+	trans, err := Step(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make([]string, len(trans))
+	for i, tr := range trans {
+		keys[i] = tr.Next.Key()
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if !x.states[id].stepped {
+		next := make([]uint32, len(trans))
+		for i, tr := range trans {
+			next[i] = x.internLocked(tr.Next, keys[i])
+		}
+		// Index the table afresh: internLocked may have moved it.
+		x.states[id].stepped, x.states[id].trans, x.states[id].next = true, trans, next
+	}
+	rec = &x.states[id]
+	return rec.trans, rec.next, nil
 }
 
 // DefaultMaxTauStates is the default τ-closure state cap.
@@ -114,35 +177,35 @@ func (x *Explorer) TracesContext(ctx context.Context, s State, depth int) (*clos
 	if pool.Resolve(x.Workers) > 1 {
 		return x.tracesParallel(ctx, s, depth)
 	}
-	return x.tracesFrom(ctx, s, depth)
+	return x.tracesFrom(ctx, x.intern(s), depth)
 }
 
-func (x *Explorer) tracesFrom(ctx context.Context, s State, depth int) (*closure.Set, error) {
+func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closure.Set, error) {
 	if depth <= 0 {
 		return closure.Stop(), nil
 	}
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	key := memoKey{depth: depth, state: x.stateID(s.Key())}
+	key := memoKey{depth: depth, state: id}
 	if cached, ok := x.memo[key]; ok {
 		return cached, nil
 	}
-	reach, err := x.tauClosure(s)
+	reach, err := x.tauClosure(id)
 	if err != nil {
 		return nil, err
 	}
 	branches := []*closure.Set{}
-	for _, st := range reach {
-		ts, err := Step(st)
+	for _, r := range reach {
+		trans, next, err := x.step(r)
 		if err != nil {
 			return nil, err
 		}
-		for _, tr := range ts {
+		for i, tr := range trans {
 			if tr.Tau {
 				continue // already folded into reach
 			}
-			sub, err := x.tracesFrom(ctx, tr.Next, depth-1)
+			sub, err := x.tracesFrom(ctx, next[i], depth-1)
 			if err != nil {
 				return nil, err
 			}
@@ -154,39 +217,42 @@ func (x *Explorer) tracesFrom(ctx context.Context, s State, depth int) (*closure
 	return out, nil
 }
 
-// tauClosure returns every state reachable from s by zero or more τ-steps,
-// including s itself. τ-cycles (hidden divergence) terminate the closure
-// without error: in the paper's partial-correctness model a diverging
-// branch simply contributes no further visible traces.
-func (x *Explorer) tauClosure(s State) ([]State, error) {
+// tauClosure returns the ids of every state reachable from state id by
+// zero or more τ-steps, id itself first, in depth-first discovery order.
+// τ-cycles (hidden divergence) terminate the closure without error: in
+// the paper's partial-correctness model a diverging branch simply
+// contributes no further visible traces.
+func (x *Explorer) tauClosure(id uint32) ([]uint32, error) {
 	limit := x.MaxTauStates
 	if limit <= 0 {
 		limit = DefaultMaxTauStates
 	}
-	seen := map[string]bool{s.Key(): true}
-	out := []State{s}
-	work := []State{s}
+	out := []uint32{id}
+	var seen map[uint32]bool // made at the first τ-step
+	work := []uint32{id}
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
-		ts, err := Step(cur)
+		trans, next, err := x.step(cur)
 		if err != nil {
 			return nil, err
 		}
-		for _, tr := range ts {
+		for i, tr := range trans {
 			if !tr.Tau {
 				continue
 			}
-			k := tr.Next.Key()
-			if seen[k] {
+			if seen == nil {
+				seen = map[uint32]bool{id: true}
+			}
+			if seen[next[i]] {
 				continue
 			}
-			if len(seen) >= limit {
+			if len(out) >= limit {
 				return nil, fmt.Errorf("%w: op: τ-closure exceeded %d states; network too internally chatty or diverging", csperr.ErrDepthExceeded, limit)
 			}
-			seen[k] = true
-			out = append(out, tr.Next)
-			work = append(work, tr.Next)
+			seen[next[i]] = true
+			out = append(out, next[i])
+			work = append(work, next[i])
 		}
 	}
 	return out, nil
@@ -212,7 +278,7 @@ func TracesContext(ctx context.Context, p syntax.Proc, env sem.Env, depth, worke
 // through the nodes of Walk's subset construction.
 func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 	var x Explorer
-	n, err := x.node(nil, []State{s})
+	n, err := x.node(nil, []uint32{x.intern(s)})
 	if err != nil {
 		return nil, false, err
 	}
@@ -229,20 +295,23 @@ func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 			return nil, false, err
 		}
 	}
-	steps, err := n.Steps()
-	if err != nil {
-		return nil, false, err
+	type edge struct {
+		ev   trace.EventID
+		next uint32
 	}
 	var menu []Transition
-	seen := map[string]bool{}
-	for _, ts := range steps {
-		for _, tr := range ts {
+	seen := map[edge]bool{}
+	for _, id := range n.ids {
+		trans, next, err := x.step(id)
+		if err != nil {
+			return nil, false, err
+		}
+		for i, tr := range trans {
 			if tr.Tau {
 				continue
 			}
-			k := tr.Ev.String() + "\x00" + tr.Next.Key()
-			if !seen[k] {
-				seen[k] = true
+			if e := (edge{tr.Ev.ID(), next[i]}); !seen[e] {
+				seen[e] = true
 				menu = append(menu, tr)
 			}
 		}

@@ -6,9 +6,10 @@ package op
 // schedule:
 //
 //  1. Level-synchronised BFS discovery. Each depth level's frontier is
-//     expanded (τ-closure + Step) concurrently across the pool, then the
-//     results are stitched sequentially in frontier order, so the set of
-//     discovered states, their first-discovery levels, and each state's
+//     expanded (τ-closure + transitions, both read from the explorer's
+//     state table) concurrently across the pool, then the results are
+//     stitched sequentially in frontier order, so the set of discovered
+//     states, their first-discovery levels, and each state's
 //     visible-transition list are all deterministic.
 //
 //  2. Bottom-up dynamic program over budgets, one pool barrier per budget:
@@ -37,14 +38,13 @@ import (
 // plus the record of the successor state.
 type visEdge struct {
 	ev   trace.Event
-	next *stateRec
+	next *dpRec
 }
 
-// stateRec is the per-state record of a parallel exploration.
-type stateRec struct {
-	key   string
-	id    uint32 // explorer-local interned id (memo keys)
-	state State
+// dpRec is the per-state record of a parallel exploration; the state
+// itself and its transitions live in the explorer's state table under id.
+type dpRec struct {
+	id    uint32
 	level int       // BFS level of first discovery
 	vis   []visEdge // visible transitions, in deterministic stitch order
 	sets  []*closure.Set
@@ -55,27 +55,28 @@ func (x *Explorer) tracesParallel(ctx context.Context, s State, depth int) (*clo
 	if depth <= 0 {
 		return closure.Stop(), nil
 	}
-	rootKey := s.Key()
-	if cached, ok := x.memo[memoKey{depth: depth, state: x.stateID(rootKey)}]; ok {
+	rootID := x.intern(s)
+	if cached, ok := x.memo[memoKey{depth: depth, state: rootID}]; ok {
 		return cached, nil
 	}
 	workers := pool.Resolve(x.Workers)
 	start := time.Now()
 
-	root := &stateRec{key: rootKey, id: x.stateID(rootKey), state: s}
-	discovered := map[string]*stateRec{root.key: root}
-	order := []*stateRec{root}
-	frontier := []*stateRec{root}
+	root := &dpRec{id: rootID}
+	discovered := map[uint32]*dpRec{rootID: root}
+	order := []*dpRec{root}
+	frontier := []*dpRec{root}
 	expanded := 0
 
 	// Phase 1: discovery. expansion carries one frontier state's visible
 	// transitions out of the parallel section; workers write only their own
-	// index, and the stitch below is sequential. Each level sizes its pool
-	// through the adaptive cutover: a frontier too small to repay goroutine
-	// spawn expands inline, so worker count never taxes a narrow level.
+	// index and read and fill the shared state table under its mutex, and
+	// the stitch below is sequential. Each level sizes its pool through the
+	// adaptive cutover: a frontier too small to repay goroutine spawn
+	// expands inline, so worker count never taxes a narrow level.
 	type expansion struct {
 		evs   []trace.Event
-		nexts []State
+		nexts []uint32
 	}
 	for level := 0; level < depth && len(frontier) > 0; level++ {
 		if frontierProbe != nil {
@@ -83,22 +84,22 @@ func (x *Explorer) tracesParallel(ctx context.Context, s State, depth int) (*clo
 		}
 		results := make([]expansion, len(frontier))
 		err := pool.Run(ctx, pool.Adaptive(workers, len(frontier), x.SerialCutover), len(frontier), func(i int) error {
-			reach, err := x.tauClosure(frontier[i].state)
+			reach, err := x.tauClosure(frontier[i].id)
 			if err != nil {
 				return err
 			}
 			var ex expansion
-			for _, st := range reach {
-				ts, err := Step(st)
+			for _, r := range reach {
+				trans, next, err := x.step(r)
 				if err != nil {
 					return err
 				}
-				for _, tr := range ts {
+				for j, tr := range trans {
 					if tr.Tau {
 						continue // folded into reach
 					}
 					ex.evs = append(ex.evs, tr.Ev)
-					ex.nexts = append(ex.nexts, tr.Next)
+					ex.nexts = append(ex.nexts, next[j])
 				}
 			}
 			results[i] = ex
@@ -108,15 +109,14 @@ func (x *Explorer) tracesParallel(ctx context.Context, s State, depth int) (*clo
 			return nil, err
 		}
 		expanded += len(frontier)
-		var next []*stateRec
+		var next []*dpRec
 		for i, rec := range frontier {
 			ex := results[i]
-			for j := range ex.evs {
-				k := ex.nexts[j].Key()
-				nr, ok := discovered[k]
+			for j, id := range ex.nexts {
+				nr, ok := discovered[id]
 				if !ok {
-					nr = &stateRec{key: k, id: x.stateID(k), state: ex.nexts[j], level: level + 1}
-					discovered[k] = nr
+					nr = &dpRec{id: id, level: level + 1}
+					discovered[id] = nr
 					order = append(order, nr)
 					next = append(next, nr)
 				}
@@ -147,7 +147,7 @@ func (x *Explorer) tracesParallel(ctx context.Context, s State, depth int) (*clo
 	}
 	root.need[depth] = true
 	type demand struct {
-		rec *stateRec
+		rec *dpRec
 		b   int
 	}
 	stack := []demand{{root, depth}}
@@ -170,7 +170,7 @@ func (x *Explorer) tracesParallel(ctx context.Context, s State, depth int) (*clo
 	// those writes, so workers never race on a record. Each round sizes
 	// its pool through the adaptive cutover, like discovery.
 	for b := 1; b <= depth; b++ {
-		var work []*stateRec
+		var work []*dpRec
 		for _, rec := range order {
 			if rec.need[b] {
 				work = append(work, rec)

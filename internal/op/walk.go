@@ -25,25 +25,24 @@ type Node struct {
 	// States[i].Key().
 	States []State
 	Keys   []string
-	steps  [][]Transition
+	x      *Explorer
+	ids    []uint32 // ids[i] is the table id of States[i]
 }
 
-// Steps returns Step(States[i]) for every state. The states are stepped
-// on the first call only, by the visitor or by the walk expanding the
-// node, so a node its visitor skips without asking is never stepped.
+// Steps returns Step(States[i]) for every state, read from the explorer's
+// state table: a state is stepped the first time any node, or any other
+// exploration by the same explorer, asks for it, so a node its visitor
+// skips without asking costs no step of its own. The transition slices
+// are shared and must not be modified.
 func (n *Node) Steps() ([][]Transition, error) {
-	if n.steps != nil {
-		return n.steps, nil
-	}
-	steps := make([][]Transition, len(n.States))
-	for i, s := range n.States {
-		ts, err := Step(s)
+	steps := make([][]Transition, len(n.ids))
+	for i, id := range n.ids {
+		trans, _, err := n.x.step(id)
 		if err != nil {
 			return nil, err
 		}
-		steps[i] = ts
+		steps[i] = trans
 	}
-	n.steps = steps
 	return steps, nil
 }
 
@@ -57,7 +56,7 @@ func (n *Node) Steps() ([][]Transition, error) {
 // wrapping csperr.ErrCanceled. visit may return SkipNode or SkipAll; any
 // other error ends the walk and is returned.
 func (x *Explorer) Walk(ctx context.Context, s State, depth int, visit func(*Node) error) error {
-	root, err := x.node(nil, []State{s})
+	root, err := x.node(nil, []uint32{x.intern(s)})
 	if err != nil {
 		return err
 	}
@@ -96,28 +95,28 @@ func (x *Explorer) Walk(ctx context.Context, s State, depth int, visit func(*Nod
 }
 
 // successors groups the node's visible transitions by interned event, in
-// first-seen order: event evs[i] leads to each state of seeds[i].
+// first-seen order: event evs[i] leads to each state id of seeds[i].
 // τ-successors are already inside the node.
-func (n *Node) successors() (evs []trace.Event, seeds [][]State, err error) {
-	steps, err := n.Steps()
-	if err != nil {
-		return nil, nil, err
-	}
+func (n *Node) successors() (evs []trace.Event, seeds [][]uint32, err error) {
 	index := map[trace.EventID]int{}
-	for _, ts := range steps {
-		for _, tr := range ts {
+	for _, id := range n.ids {
+		trans, next, err := n.x.step(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		for j, tr := range trans {
 			if tr.Tau {
 				continue
 			}
-			id := tr.Ev.ID()
-			i, ok := index[id]
+			ev := tr.Ev.ID()
+			i, ok := index[ev]
 			if !ok {
 				i = len(evs)
-				index[id] = i
+				index[ev] = i
 				evs = append(evs, tr.Ev)
 				seeds = append(seeds, nil)
 			}
-			seeds[i] = append(seeds[i], tr.Next)
+			seeds[i] = append(seeds[i], next[j])
 		}
 	}
 	return evs, seeds, nil
@@ -125,21 +124,27 @@ func (n *Node) successors() (evs []trace.Event, seeds [][]State, err error) {
 
 // node closes each seed under τ and returns the node at t holding the
 // deduplicated union of the closures, in discovery order.
-func (x *Explorer) node(t trace.T, seeds []State) (*Node, error) {
-	n := &Node{Trace: t}
-	seen := map[string]bool{}
+func (x *Explorer) node(t trace.T, seeds []uint32) (*Node, error) {
+	n := &Node{Trace: t, x: x}
+	seen := map[uint32]bool{}
 	for _, s := range seeds {
 		cl, err := x.tauClosure(s)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range cl {
-			if k := c.Key(); !seen[k] {
-				seen[k] = true
-				n.States = append(n.States, c)
-				n.Keys = append(n.Keys, k)
+		for _, id := range cl {
+			if !seen[id] {
+				seen[id] = true
+				n.ids = append(n.ids, id)
 			}
 		}
 	}
+	n.States = make([]State, len(n.ids))
+	n.Keys = make([]string, len(n.ids))
+	x.mu.Lock()
+	for i, id := range n.ids {
+		n.States[i], n.Keys[i] = x.states[id].state, x.states[id].key
+	}
+	x.mu.Unlock()
 	return n, nil
 }

@@ -158,6 +158,44 @@ func TestAdaptiveCutoverIdentical(t *testing.T) {
 	}
 }
 
+// TestExplorerReuse uses one explorer for three calls, so the later calls
+// read the state table and the memo the earlier ones filled: a
+// forced-parallel Traces of the philosophers' safe network, a serial one
+// at a greater depth, and a serial Traces of the deadlocking network.
+// Each result must be the same canonical node as a fresh serial
+// explorer's.
+func TestExplorerReuse(t *testing.T) {
+	mod := loadSpec(t, "philosophers.csp")
+	env := mod.Env()
+	x := &op.Explorer{SerialCutover: 1}
+	for _, c := range []struct {
+		root           string
+		depth, workers int
+	}{
+		{"safe", 5, 8},
+		{"safe", 6, 1},
+		{"deadlocking", 5, 1},
+	} {
+		p, err := mod.Proc(c.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := op.NewExplorer().Traces(op.NewState(p, env), c.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Workers = c.workers
+		got, err := x.Traces(op.NewState(p, env), c.depth)
+		if err != nil {
+			t.Fatalf("%s depth %d workers %d: %v", c.root, c.depth, c.workers, err)
+		}
+		if !want.Same(got) {
+			t.Fatalf("%s depth %d workers %d: reused explorer returned a different canonical node than a fresh serial one (Equal=%v)",
+				c.root, c.depth, c.workers, want.Equal(got))
+		}
+	}
+}
+
 // TestParallelDenoteIdentical checks the Jacobi-parallel approximation
 // chain against the serial denoter, again by canonical pointer identity.
 func TestParallelDenoteIdentical(t *testing.T) {

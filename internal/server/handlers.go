@@ -98,6 +98,12 @@ type runResponse struct {
 	ElapsedMS int64                   `json:"elapsed_ms"`
 }
 
+// maxNat caps a request's NAT sample width. The engines enumerate the
+// sample at every unsynchronised input, so the width sizes every such
+// expansion; without a cap one request could ask for a slice of any
+// length. The corpus uses 2 and the server default is 3.
+const maxNat = 64
+
 // newRunResponse starts a response body with the schema version stamped.
 func newRunResponse(kind string) *runResponse {
 	return &runResponse{Schema: csp.WireSchema, Kind: kind}
@@ -111,6 +117,9 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 	resp := newRunResponse(kind)
 	if req.Source == "" {
 		return resp, fmt.Errorf("%w: missing \"source\"", errBadRequest)
+	}
+	if req.Nat > maxNat {
+		return resp, fmt.Errorf("%w: nat %d exceeds the limit of %d", errBadRequest, req.Nat, maxNat)
 	}
 	nat := req.Nat
 	if nat <= 0 {

@@ -273,6 +273,39 @@ func TestFailuresCheckRunawayCapped(t *testing.T) {
 	}
 }
 
+// TestNatWidthCapped checks that a NAT sample width above the server's
+// cap is refused with 400 before any engine runs, on a standalone request
+// and on a batch item alike: an uncapped width of 200,000,000 made the
+// input expansion allocate a 12.8 GB slice and killed the process. The
+// server must go on answering afterwards.
+func TestNatWidthCapped(t *testing.T) {
+	srv := server.New(server.Config{})
+	h := srv.Handler()
+	const src = "p = c?x:NAT -> d!x -> p\n"
+	const want = "bad request: nat 65 exceeds the limit of 64"
+
+	code, out := post(t, h, nil, "/v1/traces", map[string]any{"source": src, "process": "p", "depth": 2, "nat": 65})
+	if code != http.StatusBadRequest || out["error"] != want {
+		t.Fatalf("traces: code=%d error=%v, want 400 %q", code, out["error"], want)
+	}
+
+	code, out = post(t, h, nil, "/v1/batch", map[string]any{
+		"requests": []map[string]any{{"kind": "traces", "source": src, "process": "p", "depth": 2, "nat": 65}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("batch: code=%d body=%v", code, out)
+	}
+	item := out["results"].([]any)[0].(map[string]any)
+	if item["status"] != float64(http.StatusBadRequest) || item["error"] != want {
+		t.Fatalf("batch item: status=%v error=%v, want 400 %q", item["status"], item["error"], want)
+	}
+
+	code, out = post(t, h, nil, "/v1/traces", map[string]any{"source": src, "process": "p", "depth": 2, "nat": 64})
+	if code != http.StatusOK || out["ok"] != true {
+		t.Fatalf("request after the refusals: code=%d error=%v", code, out["error"])
+	}
+}
+
 // TestClientDisconnect checks that a client hanging up mid-request maps
 // to 499 — and, more importantly, that the engines unwind cleanly (the
 // partests suite checks shard consistency after exactly this pattern).
