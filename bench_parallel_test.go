@@ -1,22 +1,21 @@
-// E13/E14 parallel-engine scaling benchmarks: the worker-pool explorer and
-// the Jacobi-parallel denoter across a GOMAXPROCS 1/4/8 matrix, with the
-// closure caches emptied every iteration so each measurement is a real
-// exploration, not a memo replay. The multi-megabyte workloads also force
-// a collection per iteration (outside the timer) so every op starts from
-// a uniform heap instead of the GC trigger point the previous row left
-// behind (twice: the second cycle forces the first's lazy sweep to
-// finish, so no sweep debt bleeds into the timed region — at 8 Ps that
-// debt is systematically larger and would bias the high-proc rows);
-// the microsecond workloads deliberately do not — a forced GC's
-// sweep debt is comparable to the op itself there and would distort the
-// timed region, while thousands of iterations self-equilibrate anyway.
-// The gc flag on each workload records that choice — plus the E16/E17 width-N matrix
-// over gen.Philosophers/gen.TokenRing, wide enough to show real scaling.
-// EXPERIMENTS.md records the outcomes. On a 1-CPU machine the >1-proc rows
-// of the small workloads measure scheduling overhead (the adaptive cutover
-// must keep them flat), while the wide rows still speed up: the parallel
-// path's level-synchronised BFS expands each state once instead of once
-// per (state, budget) pair, an algorithmic win independent of core count.
+// E13/E16 explorer and E14 parallel-fixpoint benchmarks. E13 explores the
+// token ring and the safe dining philosophers, E16 the width-N specs of
+// gen.Philosophers/gen.TokenRing, one serial row per workload: the
+// explorer runs on the calling goroutine. E14 runs the Jacobi-parallel
+// denoter across a GOMAXPROCS 1/4/8 matrix. Every row empties the closure
+// caches each iteration so each measurement is a real exploration, not a
+// memo replay. The multi-megabyte workloads also force a collection per
+// iteration (outside the timer) so every op starts from a uniform heap
+// instead of the GC trigger point the previous row left behind (twice:
+// the second cycle forces the first's lazy sweep to finish, so no sweep
+// debt bleeds into the timed region — at 8 Ps that debt is
+// systematically larger and would bias the high-proc rows); the
+// microsecond workloads deliberately do not — a forced GC's sweep debt is
+// comparable to the op itself there and would distort the timed region,
+// while thousands of iterations self-equilibrate anyway. The gc flag on
+// each workload records that choice. EXPERIMENTS.md records the outcomes.
+// On a host with fewer cores than procs the >1-proc rows of E14 measure
+// scheduling overhead, which the adaptive cutover must keep flat.
 package cspsat_test
 
 import (
@@ -32,7 +31,7 @@ import (
 	"cspsat/pkg/csp"
 )
 
-// parallelWorkloads names the spec roots the scaling benchmarks explore:
+// parallelWorkloads names the spec roots E13 explores and E14 denotes:
 // the token ring (wide frontier, deep hiding) and the dining philosophers
 // (large interleaving product).
 var parallelWorkloads = []struct {
@@ -64,38 +63,39 @@ func BenchmarkE13ParallelExplore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, procs := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/procs=%d", w.root, procs), func(b *testing.B) {
-				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
-				b.StopTimer()
-				debug.FreeOSMemory() // drop span/RSS state inherited from earlier rows
-				b.StartTimer()
-				opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: w.depth, Workers: procs}
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					closure.ResetCaches()
-					if w.gc {
-						goruntime.GC()
-						goruntime.GC()
-					}
-					b.StartTimer()
-					res, err := mod.Traces(context.Background(), p, opts)
-					if err != nil || res.Set.Size() == 0 {
-						b.Fatalf("%v %v", res, err)
-					}
-				}
-				reportCacheStats(b)
-			})
-		}
+		b.Run(w.root, func(b *testing.B) {
+			benchExplore(b, mod, p, w.depth, w.gc)
+		})
 	}
 }
 
-// wideWorkloads is the width-N scaling matrix: parameterised specs big
-// enough that the parallel explorer must beat the serial recursion
-// outright (the acceptance bar is ≥2× at 8 procs on the width-4
-// philosophers), plus a deliberately narrow wide-ring row pinning that
-// the adaptive cutover keeps near-serial cost when the frontier never
-// widens.
+// benchExplore times op explorations of p to depth from cold closure
+// caches, one serial row.
+func benchExplore(b *testing.B, mod *csp.Module, p csp.Proc, depth int, gc bool) {
+	b.StopTimer()
+	debug.FreeOSMemory() // drop span/RSS state inherited from earlier rows
+	b.StartTimer()
+	opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: depth}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		closure.ResetCaches()
+		if gc {
+			goruntime.GC()
+			goruntime.GC()
+		}
+		b.StartTimer()
+		res, err := mod.Traces(context.Background(), p, opts)
+		if err != nil || res.Set.Size() == 0 {
+			b.Fatalf("%v %v", res, err)
+		}
+	}
+	reportCacheStats(b)
+}
+
+// wideWorkloads are the generated width-N specs: the width-4 philosophers,
+// a larger interleaving product than the committed three-philosopher
+// table, and the width-8 token ring, whose frontier stays narrow however
+// wide the ring.
 var wideWorkloads = []struct {
 	name, src, root string
 	depth           int
@@ -115,66 +115,8 @@ func BenchmarkE16WideExplore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, procs := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/procs=%d", w.name, procs), func(b *testing.B) {
-				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
-				b.StopTimer()
-				debug.FreeOSMemory() // drop span/RSS state inherited from earlier rows
-				b.StartTimer()
-				opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: w.depth, Workers: procs}
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					closure.ResetCaches()
-					if w.gc {
-						goruntime.GC()
-						goruntime.GC()
-					}
-					b.StartTimer()
-					res, err := mod.Traces(context.Background(), p, opts)
-					if err != nil || res.Set.Size() == 0 {
-						b.Fatalf("%v %v", res, err)
-					}
-				}
-				reportCacheStats(b)
-			})
-		}
-	}
-}
-
-// BenchmarkE17AutoWorkers runs the same wide matrix through WorkersAuto —
-// the -workers auto path: machine-sized pools behind the adaptive
-// cutover. Its rows should track the best explicit row of E16 on wide
-// workloads and the procs=1 row on narrow ones.
-func BenchmarkE17AutoWorkers(b *testing.B) {
-	for _, w := range wideWorkloads {
-		mod, err := csp.Load(context.Background(), w.src, csp.Options{NatWidth: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := mod.Proc(w.root)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(w.name, func(b *testing.B) {
-			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(8))
-			b.StopTimer()
-			debug.FreeOSMemory() // drop span/RSS state inherited from earlier rows
-			b.StartTimer()
-			opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: w.depth, Workers: csp.WorkersAuto}
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				closure.ResetCaches()
-				if w.gc {
-					goruntime.GC()
-					goruntime.GC()
-				}
-				b.StartTimer()
-				res, err := mod.Traces(context.Background(), p, opts)
-				if err != nil || res.Set.Size() == 0 {
-					b.Fatalf("%v %v", res, err)
-				}
-			}
-			reportCacheStats(b)
+			benchExplore(b, mod, p, w.depth, w.gc)
 		})
 	}
 }

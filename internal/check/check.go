@@ -81,10 +81,6 @@ type Checker struct {
 	// Ctx, when non-nil, bounds every trace enumeration this checker runs;
 	// once done, checks return an error wrapping csperr.ErrCanceled.
 	Ctx context.Context
-	// Workers > 1 fans the trace exploration's BFS frontier across a
-	// worker pool (see op.Explorer.Workers); the results are node-identical
-	// to the serial path.
-	Workers int
 	// Model selects the semantic model verdicts are computed under. The
 	// zero value is the trace model of the paper; model.Failures switches
 	// Refines/Equivalent to stable-failures refinement and discharges
@@ -113,10 +109,9 @@ func (c *Checker) context() context.Context {
 	return c.Ctx
 }
 
-// traces enumerates p's traces under the checker's context and worker
-// configuration.
+// traces enumerates p's traces under the checker's context.
 func (c *Checker) traces(p syntax.Proc) (*closure.Set, error) {
-	return op.TracesContext(c.context(), p, c.env, c.depth, c.Workers)
+	return op.TracesContext(c.context(), p, c.env, c.depth)
 }
 
 // Sat checks P sat R: every trace of p (to the depth bound) must satisfy a.

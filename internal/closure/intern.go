@@ -17,13 +17,14 @@ package closure
 // structural walk when the pointer test fails.
 //
 // Both the intern table and the memo tables are lock-striped across
-// NumShards shards so the parallel engines (op's frontier workers, sem's
-// concurrent approximation chains, proof batching) do not serialize on one
-// package mutex. The stripe is a pure function of the key's hash — the
-// node hash for interning, a derived key hash for memos — so every distinct
-// edge list maps to exactly one shard and pointer-canonicality remains
-// global, not merely per-shard: two goroutines interning the same edge list
-// land on the same shard mutex and one of them wins. Locks are taken only
+// NumShards shards so concurrent requests and the parallel engines (sem's
+// concurrent approximation chains, assert sweeps, proof batching) do not
+// serialize on one package mutex. The stripe is a pure function of the
+// key's hash — the node hash for interning, a derived key hash for memos —
+// so every distinct edge list maps to exactly one shard and
+// pointer-canonicality remains global, not merely per-shard: two
+// goroutines interning the same edge list land on the same shard mutex and
+// one of them wins. Locks are taken only
 // inside the short leaf helpers in this file (never while calling back into
 // operator code), so lock ordering is trivially acyclic and the package is
 // safe for concurrent use.

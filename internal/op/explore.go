@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
+	"time"
 
 	"cspsat/internal/closure"
 	"cspsat/internal/csperr"
@@ -20,48 +20,27 @@ import (
 // a visible trace of (chan L; P) is a trace of P with the L-communications
 // erased, exactly the paper's (chan L; P) = P\L.
 //
-// An Explorer is not safe for concurrent use by multiple goroutines (its
-// memo is unguarded); the parallelism knob is Workers, which fans the BFS
-// frontier of a single TracesContext call across a worker pool.
+// An Explorer is not safe for concurrent use by multiple goroutines: its
+// memo and its state table are unguarded. Each call explores on the
+// calling goroutine.
 type Explorer struct {
 	// MaxTauStates caps how many distinct states a single τ-closure may
 	// visit before exploration fails; it guards against state explosion in
 	// heavily hidden networks. Zero means DefaultMaxTauStates.
 	MaxTauStates int
 
-	// Workers sets how many goroutines TracesContext spreads the BFS
-	// frontier across. Values ≤ 1 select the serial recursive path;
-	// pool.WorkersAuto sizes the pool to the machine. The parallel path
-	// produces node-identical results (same canonical pointers) as the
-	// serial one: the stripe-sharded closure operators are
-	// order-independent, and discovery order is kept deterministic by a
-	// sequential stitch at each depth barrier.
-	Workers int
-
-	// SerialCutover tunes the adaptive serial/parallel cutover of the
-	// parallel path: a BFS level or DP round with fewer items than the
-	// cutover is expanded inline on the calling goroutine instead of
-	// across the pool, so Workers: 8 on a tiny spec costs the same as
-	// Workers: 1. Zero means pool.DefaultSerialCutover; 1 forces every
-	// round through the pool (the differential tests pin serial/parallel
-	// equivalence this way).
-	SerialCutover int
-
-	// Progress, when non-nil, receives "explore" stage events after each
-	// BFS level (states expanded so far, frontier size, elapsed wall time)
-	// and a final Done event. Callbacks must be cheap and goroutine-safe.
+	// Progress, when non-nil, receives one "explore" stage event when a
+	// TracesContext call succeeds: the size of the state table, the
+	// depth, the elapsed wall time, and Done. Callbacks must be cheap.
 	Progress progress.Func
 
 	// memo caches set(state, budget) by comparable struct key — the
 	// budget plus the state's table id — so a lookup neither allocates
-	// nor hashes the full state string. It is confined to the exploring
-	// goroutine (the parallel path touches it only between pool barriers).
+	// nor hashes the full state string.
 	memo map[memoKey]*closure.Set
 
-	// mu guards the state table: ids gives each distinct state key met in
-	// this explorer's explorations a dense id, and states[id] is its
-	// record. Pool workers share the table; Step runs outside mu.
-	mu     sync.Mutex
+	// The state table: ids gives each distinct state key met in this
+	// explorer's explorations a dense id, and states[id] is its record.
 	ids    map[string]uint32
 	states []stateRec
 }
@@ -90,14 +69,6 @@ type memoKey struct {
 // intern returns the table id of s, adding s to the table if it is new.
 func (x *Explorer) intern(s State) uint32 {
 	key := s.Key()
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.internLocked(s, key)
-}
-
-// internLocked is intern for a caller that holds x.mu and has rendered
-// the key already.
-func (x *Explorer) internLocked(s State, key string) uint32 {
 	if id, ok := x.ids[key]; ok {
 		return id
 	}
@@ -112,39 +83,23 @@ func (x *Explorer) internLocked(s State, key string) uint32 {
 
 // step returns Step of the state with the given id and the ids of the
 // successors, stepping the state on its first call only. The slices are
-// shared by every caller and must not be modified. Two workers that step
-// the same unstepped state at once both compute it; the first to record
-// it wins, and both return that record.
+// shared by every caller and must not be modified.
 func (x *Explorer) step(id uint32) ([]Transition, []uint32, error) {
-	x.mu.Lock()
-	rec := &x.states[id]
-	if rec.stepped {
-		trans, next := rec.trans, rec.next
-		x.mu.Unlock()
-		return trans, next, nil
+	if rec := &x.states[id]; rec.stepped {
+		return rec.trans, rec.next, nil
 	}
-	s := rec.state
-	x.mu.Unlock()
-	trans, err := Step(s)
+	trans, err := Step(x.states[id].state)
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := make([]string, len(trans))
+	next := make([]uint32, len(trans))
 	for i, tr := range trans {
-		keys[i] = tr.Next.Key()
+		next[i] = x.intern(tr.Next)
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if !x.states[id].stepped {
-		next := make([]uint32, len(trans))
-		for i, tr := range trans {
-			next[i] = x.internLocked(tr.Next, keys[i])
-		}
-		// Index the table afresh: internLocked may have moved it.
-		x.states[id].stepped, x.states[id].trans, x.states[id].next = true, trans, next
-	}
-	rec = &x.states[id]
-	return rec.trans, rec.next, nil
+	// Index the table afresh: intern may have moved it.
+	rec := &x.states[id]
+	rec.stepped, rec.trans, rec.next = true, trans, next
+	return trans, next, nil
 }
 
 // DefaultMaxTauStates is the default τ-closure state cap.
@@ -167,17 +122,23 @@ func (x *Explorer) Traces(s State, depth int) (*closure.Set, error) {
 // every state expansion and returns an error wrapping csperr.ErrCanceled
 // promptly after ctx is done. Partially computed results are discarded;
 // the shared closure caches remain valid (interned nodes are immutable).
-// With Workers > 1 the BFS frontier is expanded in parallel, and the
-// adaptive cutover (SerialCutover) keeps rounds too small to amortise the
-// pool on the calling goroutine.
 func (x *Explorer) TracesContext(ctx context.Context, s State, depth int) (*closure.Set, error) {
 	if x.memo == nil {
 		x.memo = map[memoKey]*closure.Set{}
 	}
-	if pool.Resolve(x.Workers) > 1 {
-		return x.tracesParallel(ctx, s, depth)
+	start := time.Now()
+	set, err := x.tracesFrom(ctx, x.intern(s), depth)
+	if err != nil {
+		return nil, err
 	}
-	return x.tracesFrom(ctx, x.intern(s), depth)
+	x.Progress.Emit(progress.Event{
+		Stage:          "explore",
+		StatesExpanded: len(x.states),
+		Depth:          depth,
+		Elapsed:        time.Since(start),
+		Done:           true,
+	})
+	return set, nil
 }
 
 func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closure.Set, error) {
@@ -265,11 +226,9 @@ func Traces(p syntax.Proc, env sem.Env, depth int) (*closure.Set, error) {
 }
 
 // TracesContext is the context-aware convenience wrapper: a fresh explorer
-// with the given worker count (≤ 1 for serial) under ctx.
-func TracesContext(ctx context.Context, p syntax.Proc, env sem.Env, depth, workers int) (*closure.Set, error) {
-	x := NewExplorer()
-	x.Workers = workers
-	return x.TracesContext(ctx, NewState(p, env), depth)
+// under ctx.
+func TracesContext(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (*closure.Set, error) {
+	return NewExplorer().TracesContext(ctx, NewState(p, env), depth)
 }
 
 // VisibleEvents returns the visible communications enabled after trace t

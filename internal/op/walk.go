@@ -141,10 +141,8 @@ func (x *Explorer) node(t trace.T, seeds []uint32) (*Node, error) {
 	}
 	n.States = make([]State, len(n.ids))
 	n.Keys = make([]string, len(n.ids))
-	x.mu.Lock()
 	for i, id := range n.ids {
 		n.States[i], n.Keys[i] = x.states[id].state, x.states[id].key
 	}
-	x.mu.Unlock()
 	return n, nil
 }

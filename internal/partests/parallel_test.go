@@ -1,10 +1,10 @@
 // Package partests holds the concurrency test layer for the parallel
-// verification engine: differential tests asserting the Workers>1 paths of
-// the explorer and the denoter return the *same canonical nodes* as the
-// serial paths (pointer identity via Same, not just set equality),
-// cancellation tests asserting prompt return without shard corruption, and
-// a hammer test on the lock-striped intern tables themselves. Run with
-// -race; CI does.
+// verification engines: differential tests asserting the Workers>1 path
+// of the denoter returns the *same canonical nodes* as the serial path
+// (pointer identity via Same, not just set equality), a reuse test on the
+// explorer's state table and memo, cancellation tests asserting prompt
+// return without shard corruption, and a hammer test on the lock-striped
+// intern tables themselves. Run with -race; CI does.
 package partests
 
 import (
@@ -57,47 +57,14 @@ func loadSpec(t testing.TB, name string) *csp.Module {
 	return mod
 }
 
-// TestParallelExploreIdentical checks the worker-pool BFS of the explorer
-// against the serial recursion on every spec root: the two must return the
-// same canonical node, i.e. Same must hold by pointer identity. That is
-// the whole point of keeping canonicality global across shards — parallel
-// results are not merely equal but interchangeable with serial ones.
-func TestParallelExploreIdentical(t *testing.T) {
-	for _, s := range specRoots {
-		mod := loadSpec(t, s.file)
-		for _, root := range s.roots {
-			t.Run(s.file+"/"+root, func(t *testing.T) {
-				p, err := mod.Proc(root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: s.depth})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{2, 4, 8} {
-					par, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: s.depth, Workers: workers})
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					if !serial.Set.Same(par.Set) {
-						t.Fatalf("workers=%d: parallel explorer returned a different canonical node (Equal=%v)",
-							workers, serial.Set.Equal(par.Set))
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestAdaptiveCutoverIdentical pins the adaptive serial/parallel cutover
-// itself, on every root of all seven specs and for both engines: the
-// adaptive path (wide pool, default cutover — small rounds expand inline),
-// the forced-serial path (Workers 1), and the forced-parallel path
-// (SerialCutover 1, every round through the pool no matter how narrow)
-// must all return the same canonical node by pointer identity. A cutover
-// that changed expansion order in a way the stitch or the DP did not mask
-// would surface here as a Same failure.
+// TestAdaptiveCutoverIdentical pins the denoter's adaptive serial/parallel
+// cutover on every root of all seven specs: the adaptive path (wide pool,
+// default cutover — small rounds run inline), the forced-serial path
+// (Workers 1), and the forced-parallel path (SerialCutover 1, every round
+// through the pool no matter how narrow) must all return the same
+// canonical node by pointer identity. A cutover that let worker
+// interleaving leak into a Jacobi round would surface here as a Same
+// failure.
 func TestAdaptiveCutoverIdentical(t *testing.T) {
 	denoteDepths := map[string]int{"multiplier.csp": 3, "tokenring.csp": 4, "philosophers.csp": 4}
 	for _, s := range specRoots {
@@ -109,27 +76,6 @@ func TestAdaptiveCutoverIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				env := mod.Env()
-
-				serial := op.NewExplorer()
-				serial.Workers = 1
-				want, err := serial.Traces(op.NewState(p, env), s.depth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, x := range map[string]*op.Explorer{
-					"adaptive":        {Workers: 8},
-					"forced-parallel": {Workers: 8, SerialCutover: 1},
-				} {
-					got, err := x.Traces(op.NewState(p, env), s.depth)
-					if err != nil {
-						t.Fatalf("explorer %s: %v", name, err)
-					}
-					if !want.Same(got) {
-						t.Fatalf("explorer %s: different canonical node than forced-serial (Equal=%v)",
-							name, want.Equal(got))
-					}
-				}
-
 				depth := s.depth
 				if d, ok := denoteDepths[s.file]; ok {
 					depth = d
@@ -159,22 +105,21 @@ func TestAdaptiveCutoverIdentical(t *testing.T) {
 }
 
 // TestExplorerReuse uses one explorer for three calls, so the later calls
-// read the state table and the memo the earlier ones filled: a
-// forced-parallel Traces of the philosophers' safe network, a serial one
-// at a greater depth, and a serial Traces of the deadlocking network.
-// Each result must be the same canonical node as a fresh serial
-// explorer's.
+// read the state table and the memo the earlier ones filled: Traces of
+// the philosophers' safe network, again at a greater depth, and Traces of
+// the deadlocking network. Each result must be the same canonical node as
+// a fresh explorer's.
 func TestExplorerReuse(t *testing.T) {
 	mod := loadSpec(t, "philosophers.csp")
 	env := mod.Env()
-	x := &op.Explorer{SerialCutover: 1}
+	x := op.NewExplorer()
 	for _, c := range []struct {
-		root           string
-		depth, workers int
+		root  string
+		depth int
 	}{
-		{"safe", 5, 8},
-		{"safe", 6, 1},
-		{"deadlocking", 5, 1},
+		{"safe", 5},
+		{"safe", 6},
+		{"deadlocking", 5},
 	} {
 		p, err := mod.Proc(c.root)
 		if err != nil {
@@ -184,14 +129,13 @@ func TestExplorerReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.Workers = c.workers
 		got, err := x.Traces(op.NewState(p, env), c.depth)
 		if err != nil {
-			t.Fatalf("%s depth %d workers %d: %v", c.root, c.depth, c.workers, err)
+			t.Fatalf("%s depth %d: %v", c.root, c.depth, err)
 		}
 		if !want.Same(got) {
-			t.Fatalf("%s depth %d workers %d: reused explorer returned a different canonical node than a fresh serial one (Equal=%v)",
-				c.root, c.depth, c.workers, want.Equal(got))
+			t.Fatalf("%s depth %d: reused explorer returned a different canonical node than a fresh one (Equal=%v)",
+				c.root, c.depth, want.Equal(got))
 		}
 	}
 }
@@ -230,8 +174,9 @@ func TestParallelDenoteIdentical(t *testing.T) {
 	}
 }
 
-// TestCrossEngineAgreement pins the op and denote engines to each other on
-// the parallel path — both engines, both parallel, one canonical answer.
+// TestCrossEngineAgreement pins the op and denote engines to each other
+// with Workers 4, which fans the denoter across a pool while the explorer
+// runs on the calling goroutine: one canonical answer either way.
 func TestCrossEngineAgreement(t *testing.T) {
 	mod := loadSpec(t, "copier.csp")
 	p, err := mod.Proc("copysys")

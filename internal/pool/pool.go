@@ -1,7 +1,7 @@
 // Package pool is the shared worker-pool primitive of the parallel
 // engines: run n independent work items over w goroutines, stop early on
 // the first error or on context cancellation, and report cancellation as
-// csperr.ErrCanceled. All parallel stages in op, sem, proof, and pkg/csp are
+// csperr.ErrCanceled. All parallel stages in sem, proof, and pkg/csp are
 // built from Run so they share one cancellation and error discipline —
 // and one cost model: the adaptive serial/parallel cutover (Adaptive)
 // routes stages too small to amortise goroutine spawn through the inline
@@ -65,7 +65,7 @@ func Resolve(workers int) int {
 // stage of n items should actually use. Below the cutover it returns 1,
 // selecting Run's inline path — exact serial semantics, zero goroutines —
 // so an 8-worker engine costs the same as a 1-worker one on a small
-// frontier or equation system. At or above the cutover the requested
+// equation system or batch. At or above the cutover the requested
 // count is kept (Run itself clamps to n).
 //
 // cutover ≤ 0 means DefaultSerialCutover; to force the parallel path for

@@ -14,16 +14,18 @@ import (
 // unless noted; engines fill only the counters that apply to them.
 type Event struct {
 	// Stage identifies the reporting engine phase: "explore" (operational
-	// BFS), "fixpoint" (denotational approximation chain), "prove" (proof
-	// batch), "check" (assert sweep).
+	// explorer), "fixpoint" (denotational approximation chain), "prove"
+	// (proof batch), "check" (assert sweep).
 	Stage string
-	// StatesExpanded counts transition-system states expanded so far
-	// (explore stage).
+	// StatesExpanded counts the distinct transition-system states the
+	// explorer's state table holds (explore stage).
 	StatesExpanded int
-	// Frontier is the size of the current BFS frontier (explore stage).
+	// Frontier is always zero: no engine reports a frontier. It stays for
+	// the wire form's "frontier" counter, which schema 1 keeps (DESIGN.md
+	// §3.6).
 	Frontier int
-	// Depth is the level or budget the stage just finished (explore:
-	// BFS level; fixpoint: unused).
+	// Depth is the trace-length bound the stage explored (explore stage;
+	// fixpoint: unused).
 	Depth int
 	// ChainIterations counts approximation-chain passes (fixpoint stage).
 	ChainIterations int

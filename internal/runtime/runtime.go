@@ -167,7 +167,7 @@ func Run(p syntax.Proc, cfg Config) (*Result, error) {
 		}
 		res.Events = append(res.Events, rec)
 		if !ev.hidden {
-			res.Trace = res.Trace.Append(rec.Ev)
+			res.Trace = append(res.Trace, rec.Ev)
 			hist[ev.ch] = append(hist[ev.ch], ev.val)
 		}
 		if cfg.Monitor != nil {

@@ -104,6 +104,17 @@ type runResponse struct {
 // length. The corpus uses 2 and the server default is 3.
 const maxNat = 64
 
+// maxDepth caps a request's trace-length bound. The explorer recurses
+// once per trace step, so an uncapped depth overflows the goroutine
+// stack, which no recover catches; depth also sizes the denoter's
+// approximation window. The corpus and the benchmark use at most 8.
+const maxDepth = 64
+
+// maxEvents caps a runtime-engine request's walk length at the runtime's
+// own default. The walk does not watch the request context, so its length
+// alone bounds the request's time.
+const maxEvents = 1024
+
 // newRunResponse starts a response body with the schema version stamped.
 func newRunResponse(kind string) *runResponse {
 	return &runResponse{Schema: csp.WireSchema, Kind: kind}
@@ -120,6 +131,12 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 	}
 	if req.Nat > maxNat {
 		return resp, fmt.Errorf("%w: nat %d exceeds the limit of %d", errBadRequest, req.Nat, maxNat)
+	}
+	if req.Depth > maxDepth {
+		return resp, fmt.Errorf("%w: depth %d exceeds the limit of %d", errBadRequest, req.Depth, maxDepth)
+	}
+	if req.MaxEvents > maxEvents {
+		return resp, fmt.Errorf("%w: max_events %d exceeds the limit of %d", errBadRequest, req.MaxEvents, maxEvents)
 	}
 	nat := req.Nat
 	if nat <= 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -273,37 +274,64 @@ func TestFailuresCheckRunawayCapped(t *testing.T) {
 	}
 }
 
+// checkCapped posts body with field one above limit, to /v1/traces and as
+// a batch item, and expects 400 with the cap's message from both before
+// any engine runs; then it posts field at limit and expects 200, so the
+// server goes on answering after the refusals.
+func checkCapped(t *testing.T, body map[string]any, field string, limit int) {
+	t.Helper()
+	h := server.New(server.Config{}).Handler()
+	with := func(v int) map[string]any {
+		b := maps.Clone(body)
+		b[field] = v
+		return b
+	}
+	want := fmt.Sprintf("bad request: %s %d exceeds the limit of %d", field, limit+1, limit)
+
+	code, out := post(t, h, nil, "/v1/traces", with(limit+1))
+	if code != http.StatusBadRequest || out["error"] != want {
+		t.Fatalf("traces: code=%d error=%v, want 400 %q", code, out["error"], want)
+	}
+
+	item := with(limit + 1)
+	item["kind"] = "traces"
+	code, out = post(t, h, nil, "/v1/batch", map[string]any{"requests": []map[string]any{item}})
+	if code != http.StatusOK {
+		t.Fatalf("batch: code=%d body=%v", code, out)
+	}
+	res := out["results"].([]any)[0].(map[string]any)
+	if res["status"] != float64(http.StatusBadRequest) || res["error"] != want {
+		t.Fatalf("batch item: status=%v error=%v, want 400 %q", res["status"], res["error"], want)
+	}
+
+	code, out = post(t, h, nil, "/v1/traces", with(limit))
+	if code != http.StatusOK || out["ok"] != true {
+		t.Fatalf("request at the limit: code=%d error=%v", code, out["error"])
+	}
+}
+
 // TestNatWidthCapped checks that a NAT sample width above the server's
 // cap is refused with 400 before any engine runs, on a standalone request
 // and on a batch item alike: an uncapped width of 200,000,000 made the
 // input expansion allocate a 12.8 GB slice and killed the process. The
 // server must go on answering afterwards.
 func TestNatWidthCapped(t *testing.T) {
-	srv := server.New(server.Config{})
-	h := srv.Handler()
-	const src = "p = c?x:NAT -> d!x -> p\n"
-	const want = "bad request: nat 65 exceeds the limit of 64"
+	checkCapped(t, map[string]any{"source": "p = c?x:NAT -> d!x -> p\n", "process": "p", "depth": 2}, "nat", 64)
+}
 
-	code, out := post(t, h, nil, "/v1/traces", map[string]any{"source": src, "process": "p", "depth": 2, "nat": 65})
-	if code != http.StatusBadRequest || out["error"] != want {
-		t.Fatalf("traces: code=%d error=%v, want 400 %q", code, out["error"], want)
-	}
+// TestDepthCapped checks the trace-length cap the same way: the explorer
+// recurses once per trace step, and a depth of 100,000,000 overflowed the
+// goroutine stack, a fatal error that took every in-flight request down
+// with the process.
+func TestDepthCapped(t *testing.T) {
+	checkCapped(t, map[string]any{"source": "p = a!1 -> p\n", "process": "p"}, "depth", 64)
+}
 
-	code, out = post(t, h, nil, "/v1/batch", map[string]any{
-		"requests": []map[string]any{{"kind": "traces", "source": src, "process": "p", "depth": 2, "nat": 65}},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("batch: code=%d body=%v", code, out)
-	}
-	item := out["results"].([]any)[0].(map[string]any)
-	if item["status"] != float64(http.StatusBadRequest) || item["error"] != want {
-		t.Fatalf("batch item: status=%v error=%v, want 400 %q", item["status"], item["error"], want)
-	}
-
-	code, out = post(t, h, nil, "/v1/traces", map[string]any{"source": src, "process": "p", "depth": 2, "nat": 64})
-	if code != http.StatusOK || out["ok"] != true {
-		t.Fatalf("request after the refusals: code=%d error=%v", code, out["error"])
-	}
+// TestMaxEventsCapped checks the runtime engine's walk-length cap the same
+// way: the walk does not watch the request context, and 80,000 events on
+// a 50 ms budget answered after minutes.
+func TestMaxEventsCapped(t *testing.T) {
+	checkCapped(t, map[string]any{"source": "p = a!1 -> p\n", "process": "p", "engine": "runtime"}, "max_events", 1024)
 }
 
 // TestClientDisconnect checks that a client hanging up mid-request maps

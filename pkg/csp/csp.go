@@ -10,15 +10,15 @@
 //
 //	mod, err := csp.LoadFile(ctx, "specs/protocol.csp", csp.Options{NatWidth: 2})
 //	p, err := mod.Proc("protocol")
-//	tr, err := mod.Traces(ctx, p, csp.EngineOptions{Engine: csp.EngineOp, Depth: 8, Workers: 4})
+//	tr, err := mod.Traces(ctx, p, csp.EngineOptions{Engine: csp.EngineOp, Depth: 8})
 //	res, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 8, Workers: 4})
 //
 // Every method takes a context.Context and returns promptly after
 // cancellation with an error wrapping ErrCanceled; Workers > 1 fans the
-// underlying engine across a worker pool over the sharded intern tables
-// (DESIGN.md §3.2). Failure classes are exposed as sentinel errors
-// (ErrParse, ErrDepthExceeded, ErrCanceled, ErrObligationFailed) for
-// errors.Is dispatch.
+// denotational engine, assert sweeps and proof batches across a worker
+// pool over the sharded intern tables (DESIGN.md §3.2). Failure classes
+// are exposed as sentinel errors (ErrParse, ErrDepthExceeded,
+// ErrCanceled, ErrObligationFailed) for errors.Is dispatch.
 package csp
 
 import (
@@ -205,7 +205,7 @@ const DefaultDepth = 8
 // WorkersAuto, set as the Workers field of EngineOptions or CheckOptions
 // (the CLI spelling is -workers auto), sizes worker pools to the machine
 // (runtime.GOMAXPROCS) with the adaptive serial/parallel cutover engaged:
-// each engine stage estimates its size (BFS frontier, equation system,
+// each parallel stage estimates its size (equation system, assert sweep,
 // obligation batch) and runs inline when the stage is too small to repay
 // goroutine spawn, so auto parallelism on a tiny spec costs the same as
 // Workers: 1. See DESIGN.md §3.7 for the measured thresholds.
@@ -231,11 +231,12 @@ type EngineOptions struct {
 	Engine Engine
 	// Depth is the trace-length bound; zero means DefaultDepth.
 	Depth int
-	// Workers fans the engine across a worker pool when > 1; WorkersAuto
-	// sizes the pool to the machine. The parallel paths return
-	// node-identical results to the serial ones, and the adaptive cutover
-	// routes stages below the measured threshold inline, so oversizing
-	// Workers never slows a small workload.
+	// Workers fans EngineDenote's approximation chains across a worker
+	// pool when > 1; WorkersAuto sizes the pool to the machine. The
+	// parallel path returns node-identical results to the serial one, and
+	// the adaptive cutover routes stages below the measured threshold
+	// inline, so oversizing Workers never slows a small workload.
+	// EngineOp and EngineRuntime ignore it.
 	Workers int
 	// Progress, when non-nil, receives per-stage progress events.
 	// Callbacks must be cheap and goroutine-safe.
@@ -526,7 +527,6 @@ func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*Trace
 	switch opts.Engine {
 	case EngineOp:
 		x := op.NewExplorer()
-		x.Workers = opts.Workers
 		x.Progress = opts.Progress
 		set, err := x.TracesContext(ctx, op.NewState(p, m.env), depth)
 		if err != nil {
@@ -608,12 +608,11 @@ func (m *Module) DotLTS(p Proc, depth int) (string, error) {
 	return op.DotLTS(op.NewState(p, m.env), depth)
 }
 
-// Checker returns a model checker bound to ctx with the options' model,
-// depth, and exploration worker count.
+// Checker returns a model checker bound to ctx with the options' model
+// and depth.
 func (m *Module) Checker(ctx context.Context, opts CheckOptions) *check.Checker {
 	ck := check.New(m.Env(), m.Funcs(), opts.depth())
 	ck.Ctx = ctx
-	ck.Workers = opts.Workers
 	ck.Model = opts.Model
 	return ck
 }
@@ -703,10 +702,9 @@ func (r AssertResult) OK() bool {
 // CheckAll model-checks every assert declaration of the module under the
 // options' model, expanding quantified sat-asserts over their (sampled)
 // domains. The declarations are distributed across a pool of opts.Workers
-// goroutines (each check itself runs serially — asserts outnumber cores
-// long before a single assert does), results come back in declaration
-// order, and opts.Progress receives a "check" stage event per completed
-// assert. A declaration that pins its own model ("assert P refines Q in
+// goroutines (each check itself runs serially), results come back in
+// declaration order, and opts.Progress receives a "check" stage event per
+// completed assert. A declaration that pins its own model ("assert P refines Q in
 // failures") overrides opts.Model for that declaration.
 func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResult, error) {
 	if err := m.parsed(); err != nil {
@@ -721,7 +719,7 @@ func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResul
 	// machine size.
 	err := pool.Run(ctx, pool.Adaptive(opts.Workers, n, 2), n, func(i int) error {
 		decl := m.asserts[i]
-		dopts := CheckOptions{Model: opts.Model, Depth: opts.Depth, Workers: 1}
+		dopts := CheckOptions{Model: opts.Model, Depth: opts.Depth}
 		if decl.Model != model.Traces {
 			dopts.Model = decl.Model
 		}

@@ -103,6 +103,28 @@ func TestTracesCanceled(t *testing.T) {
 	}
 }
 
+// TestOpTracesProgress checks that a serial op exploration reports through
+// EngineOptions.Progress: exactly one final "explore" event, so a host's
+// progress snapshot covers the op engine at every worker count.
+func TestOpTracesProgress(t *testing.T) {
+	mod := load(t)
+	p, err := mod.Proc("sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []csp.ProgressEvent
+	opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: 6, Workers: 1, Progress: func(e csp.ProgressEvent) { events = append(events, e) }}
+	if _, err := mod.Traces(context.Background(), p, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("got %d progress events, want 1: %+v", len(events), events)
+	}
+	if e := events[0]; e.Stage != "explore" || !e.Done || e.StatesExpanded <= 0 || e.Depth != 6 {
+		t.Fatalf("progress event %+v, want a Done explore event at depth 6 with StatesExpanded > 0", e)
+	}
+}
+
 func TestCheckAllAndSat(t *testing.T) {
 	mod := load(t)
 	results, err := mod.CheckAll(context.Background(), csp.CheckOptions{Depth: 6})
