@@ -66,8 +66,8 @@ func refTruncate(a refSet, depth int) refSet {
 // TestPropUnionAllKWay pins the k-way UnionAll merge three ways: it equals
 // the reference union of all operands, it returns the very node the
 // pairwise Union fold returns (canonical interning makes them pointer-
-// identical, which the parallel explorer's stitch relies on), and it is
-// insensitive to operand order and duplication.
+// identical, which the engines' Same-pointer differential tests rely on),
+// and it is insensitive to operand order and duplication.
 func TestPropUnionAllKWay(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < propIters; i++ {

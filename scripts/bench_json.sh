@@ -15,8 +15,7 @@
 #                     snapshot (BENCH_2026-08-08.json got that way once).
 #   BENCH_OUT=path    override the output file
 #   BENCH_PATTERN=re  override the benchmark regex (default: every
-#                     numbered experiment benchmark, E01 through the
-#                     E16/E17 width-N scaling matrix)
+#                     numbered experiment benchmark, E01 through E21)
 #   BENCH_TIME=d      override -benchtime (default 1s)
 #   BENCH_GOGC=n      override GOGC for the run (default 400: snapshots
 #                     measure engine compute, not collector bookkeeping —
