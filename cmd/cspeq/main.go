@@ -36,7 +36,7 @@ func main() {
 	q := app.Proc(mod, args[2])
 	pName, qName := args[1], args[2]
 	copts := csp.CheckOptions{Depth: *depth, Workers: app.Workers}
-	eopts := csp.EngineOptions{Depth: *depth, Workers: app.Workers}
+	eopts := csp.EngineOptions{Depth: *depth}
 	exitOn := func(err error) {
 		if err != nil {
 			app.Fatal(err)

@@ -119,7 +119,7 @@ func proveAndCheck(mod *csp.Module, validity *assertion.ValidityConfig, pr proof
 }
 
 func traces(mod *csp.Module, p csp.Proc, engine csp.Engine, depth int) (*csp.TraceSet, error) {
-	res, err := mod.Traces(runCtx, p, csp.EngineOptions{Engine: engine, Depth: depth, Workers: workers})
+	res, err := mod.Traces(runCtx, p, csp.EngineOptions{Engine: engine, Depth: depth})
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,8 @@
 //
 // The uniform flags keep their CLI meaning where one exists: -timeout is
 // the per-request engine budget (not the process lifetime), -workers the
-// default per-request engine parallelism, -nat the default NAT width,
+// default per-request worker count for asserts, proof obligations and
+// batch items, -nat the default NAT width,
 // -stats a closure-cache report on exit. SIGINT/SIGTERM starts a graceful
 // drain: new requests are refused with 503 while in-flight checks finish,
 // up to -drain, after which the engines are hard-canceled (the intern

@@ -73,7 +73,7 @@ func main() {
 	res, hit := mod.CachedTraces(engine, *depth, args[1])
 	if !hit {
 		var err error
-		res, err = mod.Traces(ctx, app.Proc(mod, args[1]), csp.EngineOptions{Engine: engine, Depth: *depth, Workers: app.Workers})
+		res, err = mod.Traces(ctx, app.Proc(mod, args[1]), csp.EngineOptions{Engine: engine, Depth: *depth})
 		if err != nil {
 			app.Fail(err)
 		}

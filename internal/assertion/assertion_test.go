@@ -398,6 +398,30 @@ func TestBoundedValidityLimits(t *testing.T) {
 	}
 }
 
+// TestValidityCountsBeforeEnumerating checks that Valid refuses an
+// oversized case space before it builds any channel's history list. Over
+// the server's default domain at nat 64, NAT ∪ {ACK, NACK} with 66 values,
+// each channel has 291,919 histories of length ≤ 3, so building even one
+// list costs more allocations than the bound allows.
+func TestValidityCountsBeforeEnumerating(t *testing.T) {
+	env := sem.NewEnv(syntax.NewModule(), 64)
+	cfg := assertion.ValidityConfig{
+		Env:        env,
+		MaxLen:     3,
+		DefaultDom: value.Union{A: value.Nat{SampleWidth: 64}, B: value.NewEnum(value.Sym("ACK"), value.Sym("NACK"))},
+	}
+	a := assertion.PrefixLE(assertion.Chan("wire"), assertion.Chan("input"))
+	want := "assertion: bounded validity space exceeds 4194304 cases"
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := assertion.Valid(a, cfg); err == nil || err.Error() != want {
+			t.Fatalf("Valid: got %v, want %q", err, want)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("Valid made %.0f allocations to refuse the case space", allocs)
+	}
+}
+
 func TestValidityUsesVarDomains(t *testing.T) {
 	env := sem.NewEnv(syntax.NewModule(), 2)
 	// y ranges over {ACK} only: f(x^y^wire) = x^f(wire), so the Table-1

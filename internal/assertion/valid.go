@@ -108,32 +108,30 @@ func Valid(a A, cfg ValidityConfig) (*Counterexample, error) {
 	}
 	sort.Strings(vars)
 
-	// Pre-enumerate the sequence space per channel and value space per var.
-	chanSeqs := make([][][]value.V, len(chans))
-	for i, ch := range chans {
-		dom := cfg.domFor(string(ch), cfg.ChanDom)
-		chanSeqs[i] = allSeqs(dom.Enumerate(), cfg.maxLen())
-	}
+	// Count the cases, saturating past the cap, before building any
+	// history list: a channel over k values has 1 + k + … + k^MaxLen
+	// histories, so the lists of a wide domain can outgrow memory.
+	limit, maxLen := cfg.maxCases(), cfg.maxLen()
+	total := 1
 	varVals := make([][]value.V, len(vars))
 	for i, v := range vars {
 		varVals[i] = cfg.domFor(v, cfg.VarDom).Enumerate()
 		if len(varVals[i]) == 0 {
 			return nil, fmt.Errorf("assertion: empty domain for variable %q", v)
 		}
+		total = min(total*len(varVals[i]), limit+1)
 	}
-
-	total := 1
-	for _, ss := range chanSeqs {
-		total *= len(ss)
-		if total > cfg.maxCases() {
-			return nil, fmt.Errorf("assertion: bounded validity space exceeds %d cases", cfg.maxCases())
-		}
+	alphabets := make([][]value.V, len(chans))
+	for i, ch := range chans {
+		alphabets[i] = cfg.domFor(string(ch), cfg.ChanDom).Enumerate()
+		total = min(total*seqCount(len(alphabets[i]), maxLen, limit), limit+1)
 	}
-	for _, vs := range varVals {
-		total *= len(vs)
-		if total > cfg.maxCases() {
-			return nil, fmt.Errorf("assertion: bounded validity space exceeds %d cases", cfg.maxCases())
-		}
+	if total > limit {
+		return nil, fmt.Errorf("assertion: bounded validity space exceeds %d cases", limit)
+	}
+	chanSeqs := make([][][]value.V, len(chans))
+	for i, alphabet := range alphabets {
+		chanSeqs[i] = allSeqs(alphabet, maxLen, seqCount(len(alphabet), maxLen, limit))
 	}
 
 	idxC := make([]int, len(chans))
@@ -187,22 +185,33 @@ func advance(idxC []int, chanSeqs [][][]value.V, idxV []int, varVals [][]value.V
 	return false
 }
 
-// allSeqs enumerates every sequence over alphabet of length ≤ maxLen.
-func allSeqs(alphabet []value.V, maxLen int) [][]value.V {
-	out := [][]value.V{nil}
-	frontier := [][]value.V{nil}
+// seqCount is how many sequences of length ≤ maxLen there are over k
+// values, 1 + k + … + k^maxLen, or limit+1 once that exceeds limit.
+func seqCount(k, maxLen, limit int) int {
+	n, pow := 1, 1
+	for l := 0; l < maxLen && k > 0 && n <= limit; l++ {
+		pow = min(pow*k, limit+1)
+		n += pow
+	}
+	return min(n, limit+1)
+}
+
+// allSeqs lists the n sequences of length ≤ maxLen over alphabet, shortest
+// first; n is their seqCount.
+func allSeqs(alphabet []value.V, maxLen, n int) [][]value.V {
+	out := make([][]value.V, 1, n)
+	prev := out
 	for l := 1; l <= maxLen; l++ {
-		var next [][]value.V
-		for _, s := range frontier {
+		start := len(out)
+		for _, s := range prev {
 			for _, v := range alphabet {
-				ext := make([]value.V, len(s)+1)
+				ext := make([]value.V, l)
 				copy(ext, s)
-				ext[len(s)] = v
-				next = append(next, ext)
+				ext[l-1] = v
+				out = append(out, ext)
 			}
 		}
-		out = append(out, next...)
-		frontier = next
+		prev = out[start:]
 	}
 	return out
 }

@@ -3,8 +3,8 @@
 // facade. It registers the three uniform flags:
 //
 //	-timeout D   cancel the run's context after D (0 = no limit)
-//	-workers N   fan the parallel engines across N goroutines, or "auto"
-//	             to size pools to the machine with the adaptive cutover
+//	-workers N   check asserts and proof obligations on N goroutines, one
+//	             item per claim, or "auto" for one goroutine per CPU
 //	-stats       print closure cache/shard statistics after the run
 //
 // and offers the two uniform verification selectors for tools that opt in
@@ -83,14 +83,13 @@ func New(tool, usage string) *App {
 	flag.DurationVar(&a.Timeout, "timeout", 0, "cancel the run after this duration, e.g. 30s (0 = no limit)")
 	a.Workers = 1
 	flag.Var(workersValue{&a.Workers}, "workers",
-		"goroutines for the parallel engines: a count (<= 1 runs serially) or auto (size pools to the machine; small stages still run inline)")
+		"goroutines sharing a run's asserts and proof obligations: a count (<= 1 runs serially) or auto (one per CPU); each trace exploration runs on one goroutine")
 	flag.BoolVar(&a.Stats, "stats", false, "print closure cache/shard statistics to stderr after the run")
 	return a
 }
 
 // workersValue is the -workers flag: an integer worker count, or the
-// spelling "auto" for csp.WorkersAuto (machine-sized pools behind the
-// adaptive serial/parallel cutover).
+// spelling "auto" for csp.WorkersAuto (one goroutine per CPU).
 type workersValue struct{ v *int }
 
 func (w workersValue) String() string {

@@ -12,7 +12,7 @@ func testMeta() Meta {
 	return Meta{WireSchema: 1, StoreCodec: 3, Go: "go-test", Start: 42}
 }
 
-func writeTestJournal(t *testing.T, records int) (path string, recs []Record) {
+func writeTestJournal(t testing.TB, records int) (path string, recs []Record) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "j.cspj")
 	w, err := Create(path, testMeta())

@@ -1,10 +1,12 @@
-// Package partests holds the concurrency test layer for the parallel
-// verification engines: differential tests asserting the Workers>1 path
-// of the denoter returns the *same canonical nodes* as the serial path
-// (pointer identity via Same, not just set equality), a reuse test on the
-// explorer's state table and memo, cancellation tests asserting prompt
-// return without shard corruption, and a hammer test on the lock-striped
-// intern tables themselves. Run with -race; CI does.
+// Package partests holds the cross-engine and concurrency test layer:
+// differential tests pinning the op and denote engines to each other on
+// every spec root, and both to brute-force references, by canonical
+// pointer identity (Same, not just set equality) where the engines agree
+// exactly; a reuse test on the explorer's state table and memo; assert
+// and proof batches across a worker pool against their serial runs;
+// cancellation tests asserting prompt return without shard corruption;
+// and a hammer test on the lock-striped intern tables themselves. Run
+// with -race; CI does.
 package partests
 
 import (
@@ -21,7 +23,6 @@ import (
 	"cspsat/internal/csperr"
 	"cspsat/internal/op"
 	"cspsat/internal/proof"
-	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
@@ -55,53 +56,6 @@ func loadSpec(t testing.TB, name string) *csp.Module {
 		t.Fatalf("loading %s: %v", name, err)
 	}
 	return mod
-}
-
-// TestAdaptiveCutoverIdentical pins the denoter's adaptive serial/parallel
-// cutover on every root of all seven specs: the adaptive path (wide pool,
-// default cutover — small rounds run inline), the forced-serial path
-// (Workers 1), and the forced-parallel path (SerialCutover 1, every round
-// through the pool no matter how narrow) must all return the same
-// canonical node by pointer identity. A cutover that let worker
-// interleaving leak into a Jacobi round would surface here as a Same
-// failure.
-func TestAdaptiveCutoverIdentical(t *testing.T) {
-	denoteDepths := map[string]int{"multiplier.csp": 3, "tokenring.csp": 4, "philosophers.csp": 4}
-	for _, s := range specRoots {
-		mod := loadSpec(t, s.file)
-		for _, root := range s.roots {
-			t.Run(s.file+"/"+root, func(t *testing.T) {
-				p, err := mod.Proc(root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				env := mod.Env()
-				depth := s.depth
-				if d, ok := denoteDepths[s.file]; ok {
-					depth = d
-				}
-				ds := sem.NewDenoter(depth)
-				ds.Workers = 1
-				dwant, err := ds.Denote(p, env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, cutover := range map[string]int{"adaptive": 0, "forced-parallel": 1} {
-					d := sem.NewDenoter(depth)
-					d.Workers = 8
-					d.SerialCutover = cutover
-					got, err := d.Denote(p, env)
-					if err != nil {
-						t.Fatalf("denoter %s: %v", name, err)
-					}
-					if !dwant.Same(got) {
-						t.Fatalf("denoter %s: different canonical node than forced-serial (Equal=%v)",
-							name, dwant.Equal(got))
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestExplorerReuse uses one explorer for three calls, so the later calls
@@ -140,11 +94,17 @@ func TestExplorerReuse(t *testing.T) {
 	}
 }
 
-// TestParallelDenoteIdentical checks the Jacobi-parallel approximation
-// chain against the serial denoter, again by canonical pointer identity.
-func TestParallelDenoteIdentical(t *testing.T) {
-	// The literal chain materialises pre-hiding sets; keep depths modest.
+// TestCrossEngineAgreement pins the denote engine to the op engine on
+// every spec root: the denotation never holds a trace the explorer does
+// not, and outside sem.Denoter's two documented caveats the two are the
+// same canonical node. The caveats are multiplier, whose partial sums
+// leave the NAT sample (87 denoted against 95 explored traces at depth 3),
+// and both philosophers roots, whose hidden chatter outruns the hiding
+// slack (13 against 121 at depth 4). The literal chain materialises
+// pre-hiding sets, so the three widest specs run shallower.
+func TestCrossEngineAgreement(t *testing.T) {
 	depths := map[string]int{"multiplier.csp": 3, "tokenring.csp": 4, "philosophers.csp": 4}
+	caveats := map[string]bool{"multiplier.csp": true, "philosophers.csp": true}
 	for _, s := range specRoots {
 		mod := loadSpec(t, s.file)
 		depth := s.depth
@@ -157,42 +117,23 @@ func TestParallelDenoteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				serial, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: depth})
+				o, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineOp, Depth: depth})
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: depth, Workers: 4})
+				d, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: depth})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !serial.Set.Same(par.Set) {
-					t.Fatalf("parallel denoter returned a different canonical node (Equal=%v)",
-						serial.Set.Equal(par.Set))
+				if !d.Set.SubsetOf(o.Set) {
+					t.Fatalf("depth %d: denote holds %v, which op does not", depth, d.Set.FirstNotIn(o.Set))
+				}
+				if !caveats[s.file] && !o.Set.Same(d.Set) {
+					t.Fatalf("depth %d: op and denote disagree (%d vs %d traces, Equal=%v)",
+						depth, o.Set.Size(), d.Set.Size(), o.Set.Equal(d.Set))
 				}
 			})
 		}
-	}
-}
-
-// TestCrossEngineAgreement pins the op and denote engines to each other
-// with Workers 4, which fans the denoter across a pool while the explorer
-// runs on the calling goroutine: one canonical answer either way.
-func TestCrossEngineAgreement(t *testing.T) {
-	mod := loadSpec(t, "copier.csp")
-	p, err := mod.Proc("copysys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineOp, Depth: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := mod.Traces(context.Background(), p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Set.Same(d.Set) {
-		t.Fatalf("op and denote disagree on copysys at depth 5 (Equal=%v)", o.Set.Equal(d.Set))
 	}
 }
 
@@ -211,12 +152,14 @@ func TestCancellationPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both engines run on the calling goroutine whatever the worker
+	// setting, so the workers=4 run repeats the workers=1 run.
 	for _, workers := range []int{1, 4} {
 		for _, engine := range []csp.Engine{csp.EngineOp, csp.EngineDenote} {
 			t.Run(fmt.Sprintf("%v/workers=%d", engine, workers), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel() // canceled before the engine starts: must not explore at all
-				_, err := mod.Traces(ctx, p, csp.EngineOptions{Engine: engine, Depth: 6, Workers: workers})
+				_, err := mod.Traces(ctx, p, csp.EngineOptions{Engine: engine, Depth: 6})
 				if err == nil {
 					t.Fatal("canceled context: want error, got result")
 				}
@@ -228,7 +171,7 @@ func TestCancellationPrompt(t *testing.T) {
 	}
 	// The shards took concurrent writes from the runs above; the canonical
 	// answer must be unchanged.
-	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 6, Workers: 4})
+	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

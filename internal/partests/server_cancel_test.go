@@ -90,7 +90,7 @@ func TestServerDisconnectShardConsistency(t *testing.T) {
 
 	// The aborted runs wrote the same shards the baseline lives in; the
 	// canonical node must be bit-for-bit the one from before the storm.
-	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 5, Workers: 4})
+	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

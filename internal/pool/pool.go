@@ -1,11 +1,9 @@
-// Package pool is the shared worker-pool primitive of the parallel
-// engines: run n independent work items over w goroutines, stop early on
-// the first error or on context cancellation, and report cancellation as
-// csperr.ErrCanceled. All parallel stages in sem, proof, and pkg/csp are
-// built from Run so they share one cancellation and error discipline —
-// and one cost model: the adaptive serial/parallel cutover (Adaptive)
-// routes stages too small to amortise goroutine spawn through the inline
-// path, so a large Workers setting never taxes a tiny workload.
+// Package pool is the shared worker pool: run n independent work items
+// over w goroutines, stop early on the first error or on context
+// cancellation, and report cancellation as csperr.ErrCanceled. Its callers
+// are CheckAll's assert sweep, proof.CheckBatch's obligations, /v1/batch's
+// items, and the denoter's serial chain pass, which uses the inline path
+// for its cancellation and panic handling.
 package pool
 
 import (
@@ -21,63 +19,16 @@ import (
 )
 
 // WorkersAuto is the sentinel worker count meaning "size the pool to the
-// machine": Resolve maps it to runtime.GOMAXPROCS(0). Engines combine it
-// with Adaptive, so auto parallelism on a tiny workload still runs inline.
-// pkg/csp re-exports the same value for options structs and the CLI's
-// -workers auto spelling.
+// machine": Resolve maps it to runtime.GOMAXPROCS(0). pkg/csp re-exports
+// the same value for options structs and the CLI's -workers auto spelling.
 const WorkersAuto = -1
-
-// DefaultSerialCutover is the stage size below which Adaptive routes work
-// through the inline path regardless of the requested worker count. The
-// value is measured, not guessed: on the BENCH_2026-08-05 regression
-// workloads the per-stage cost of spawning workers plus draining the
-// barrier is ~15–60µs, which items cheaper than ~1µs each cannot repay
-// until the stage holds a few dozen of them; see DESIGN.md §3.7 for the
-// measurement matrix. Stages at or above the cutover keep the requested
-// parallelism.
-const DefaultSerialCutover = 24
-
-// chunkTarget is the number of claim batches a stage is split into:
-// claiming chunks of n/chunkTarget items off the atomic counter replaces
-// per-item claims, cutting counter contention by the chunk size while
-// leaving enough batches to balance uneven item costs across workers.
-// The batch count is deliberately independent of the worker count (it
-// only rises past chunkTarget when 2·workers exceeds it, to keep at
-// least two batches per worker): if batches scaled with workers, every
-// extra worker would add scheduler hand-offs to an otherwise unchanged
-// stage, and on a machine with fewer cores than workers that churn is
-// pure overhead — it was the residual Workers=8-vs-4 slope in the
-// BENCH_2026-08-05 regression after the cutover landed.
-const chunkTarget = 16
 
 // Resolve maps a workers setting to a concrete pool size: WorkersAuto
 // (any negative value) becomes runtime.GOMAXPROCS(0); everything else is
-// returned unchanged. Engines call it once at entry so the rest of their
-// scheduling logic sees only concrete counts.
+// returned unchanged.
 func Resolve(workers int) int {
 	if workers < 0 {
 		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// Adaptive is the serial/parallel cutover: it returns the worker count a
-// stage of n items should actually use. Below the cutover it returns 1,
-// selecting Run's inline path — exact serial semantics, zero goroutines —
-// so an 8-worker engine costs the same as a 1-worker one on a small
-// equation system or batch. At or above the cutover the requested
-// count is kept (Run itself clamps to n).
-//
-// cutover ≤ 0 means DefaultSerialCutover; to force the parallel path for
-// any n (differential tests pin serial/parallel equivalence this way),
-// pass cutover 1. Negative workers resolve via Resolve first.
-func Adaptive(workers, n, cutover int) int {
-	workers = Resolve(workers)
-	if cutover <= 0 {
-		cutover = DefaultSerialCutover
-	}
-	if n < cutover {
-		return 1
 	}
 	return workers
 }
@@ -109,10 +60,9 @@ func call(f func(int) error, i int) (err error) {
 // (WorkersAuto) size the pool to the machine. A panicking f is recovered
 // and reported as an ErrPanic-wrapped error on either path.
 //
-// Items are claimed from an atomic counter in chunks of roughly n/16
-// (n/(2·workers) when that is smaller), so ordering across workers is
-// arbitrary; callers that need deterministic output index into
-// preallocated result slices by item index.
+// Workers claim one item at a time from an atomic counter, so ordering
+// across workers is arbitrary; callers that need deterministic output
+// index into preallocated result slices by item index.
 func Run(ctx context.Context, workers, n int, f func(int) error) error {
 	if n <= 0 {
 		return nil
@@ -131,14 +81,6 @@ func Run(ctx context.Context, workers, n int, f func(int) error) error {
 			}
 		}
 		return nil
-	}
-	batches := chunkTarget
-	if 2*workers > batches {
-		batches = 2 * workers
-	}
-	chunk := n / batches
-	if chunk < 1 {
-		chunk = 1
 	}
 	var (
 		next     atomic.Int64
@@ -160,22 +102,13 @@ func Run(ctx context.Context, workers, n int, f func(int) error) error {
 					record(err)
 					return
 				}
-				end := int(next.Add(int64(chunk)))
-				start := end - chunk
-				if start >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					if stop.Load() {
-						return
-					}
-					if err := call(f, i); err != nil {
-						record(err)
-						return
-					}
+				if err := call(f, i); err != nil {
+					record(err)
+					return
 				}
 			}
 		}()

@@ -94,9 +94,9 @@ func TestRunErrorShortCircuitSerial(t *testing.T) {
 }
 
 // TestRunErrorShortCircuitParallel checks the pooled path stops claiming
-// promptly after an error: some prefix of items may run concurrently with
-// the failure, but the count of items executed after the error is
-// recorded must be bounded by the in-flight chunks, not the whole range.
+// promptly after an error: some items may run concurrently with the
+// failure, but the count of items executed after the error is recorded
+// must be bounded by the items in flight, not the whole range.
 func TestRunErrorShortCircuitParallel(t *testing.T) {
 	boom := errors.New("boom")
 	const n = 10000
@@ -115,8 +115,8 @@ func TestRunErrorShortCircuitParallel(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	// 4 workers × one chunk each of n/(4·4) items is the worst case in
-	// flight when the stop flag flips; anything near n means the flag was
+	// Each worker claims one item at a time, so a few items are in flight
+	// when the stop flag flips; anything near n means the flag was
 	// ignored.
 	if after.Load() > n/2 {
 		t.Fatalf("%d items ran after the error — stop flag not honored", after.Load())
@@ -216,30 +216,5 @@ func TestResolve(t *testing.T) {
 		if got := Resolve(w); got != w {
 			t.Fatalf("Resolve(%d) = %d", w, got)
 		}
-	}
-}
-
-// TestAdaptive pins the cutover: below it the stage runs inline (1), at
-// or above it the requested count survives, cutover 1 forces parallel,
-// and cutover ≤ 0 selects the default.
-func TestAdaptive(t *testing.T) {
-	cases := []struct {
-		workers, n, cutover, want int
-	}{
-		{8, DefaultSerialCutover - 1, 0, 1},
-		{8, DefaultSerialCutover, 0, 8},
-		{8, 3, 1, 8},   // forced parallel
-		{8, 100, 0, 8}, // big stage keeps its workers
-		{1, 100, 0, 1},
-		{8, 5, 6, 1},
-		{8, 6, 6, 8},
-	}
-	for _, c := range cases {
-		if got := Adaptive(c.workers, c.n, c.cutover); got != c.want {
-			t.Fatalf("Adaptive(%d,%d,%d) = %d, want %d", c.workers, c.n, c.cutover, got, c.want)
-		}
-	}
-	if got := Adaptive(WorkersAuto, 1000, 0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Adaptive(auto) = %d, want GOMAXPROCS", got)
 	}
 }

@@ -51,11 +51,7 @@ func CheckBatch(ctx context.Context, template *Checker, obs []Obligation, worker
 	results := make([]BatchResult, len(obs))
 	processed := make([]bool, len(obs)) // each index written once, read after the pool drains
 	var done, discharged atomic.Int64
-	// Obligations are heavyweight (a whole proof tree each), so the
-	// serial/parallel cutover is just "more than one": pool spawn amortises
-	// against milliseconds of checking, unlike the per-state stages of the
-	// trace engines. WorkersAuto resolves to the machine size here too.
-	err := pool.Run(ctx, pool.Adaptive(workers, len(obs), 2), len(obs), func(i int) error {
+	err := pool.Run(ctx, workers, len(obs), func(i int) error {
 		ck := template.Fork()
 		ck.Ctx = ctx
 		cl, err := ck.Check(obs[i].Proof)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cspsat/internal/closure"
@@ -20,6 +19,10 @@ import (
 // definitions are given meaning exactly as the paper does — by the
 // increasing approximation chain a₀ = ⟦STOP⟧, a(i+1) = ⟦P⟧(ρ[aᵢ/p]) — with
 // the chain iterated until the window stabilises.
+//
+// Each pass of the chain is a Jacobi pass, run on the calling goroutine:
+// every registered instance is evaluated against the previous pass's
+// approximations, which the new ones replace only after the whole pass.
 //
 // Two approximation caveats, both documented in DESIGN.md §3:
 //
@@ -59,32 +62,10 @@ type Denoter struct {
 	// pass and never stabilise. The default is Depth + 3×HideSlack.
 	MaxBudget int
 
-	// Workers sets how many goroutines DenoteContext spreads each chain
-	// pass across: the registered instances' approximations are recomputed
-	// concurrently against a snapshot (Jacobi iteration) with a barrier per
-	// pass, instead of in sequence (Gauss-Seidel). Both schedules converge
-	// to the same least fixpoint on the finite window, so the final sets —
-	// and, thanks to canonical interning, the node pointers — coincide with
-	// the serial result; only the pass count may differ. Values ≤ 1 select
-	// the serial path; pool.WorkersAuto sizes the pool to the machine.
-	Workers int
-
-	// SerialCutover tunes the adaptive serial/parallel cutover: a chain
-	// pass over fewer registered instances than the cutover runs inline on
-	// the calling goroutine — the equation system is too small to repay
-	// spawning a pool per pass, which is exactly the BENCH_2026-08-05
-	// small-workload regression. Zero means pool.DefaultSerialCutover; 1
-	// forces every pass through the pool (for the differential tests).
-	SerialCutover int
-
 	// Progress, when non-nil, receives a "fixpoint" stage event after each
 	// chain pass and a final Done event.
 	Progress progress.Func
 
-	// mu guards approx, budgets, and instances while a parallel pass has
-	// workers inside eval; the maps are otherwise touched only between
-	// barriers.
-	mu        sync.Mutex
 	approx    map[string]*closure.Set
 	budgets   map[string]int
 	instances map[string]instance
@@ -118,10 +99,10 @@ func (d *Denoter) Denote(p syntax.Proc, env Env) (*closure.Set, error) {
 	return d.DenoteContext(context.Background(), p, env)
 }
 
-// DenoteContext is Denote with cancellation: the chain checks ctx at every
-// pass (and the pool between instances) and returns an error wrapping
-// csperr.ErrCanceled promptly after ctx is done. With Workers > 1 each
-// pass recomputes the registered instances concurrently.
+// DenoteContext is Denote with cancellation: the chain checks ctx before
+// every instance it evaluates and returns an error wrapping
+// csperr.ErrCanceled promptly after ctx is done. A panic in an instance's
+// evaluation returns as an error wrapping pool.ErrPanic.
 func (d *Denoter) DenoteContext(ctx context.Context, p syntax.Proc, env Env) (*closure.Set, error) {
 	// Iterate the global approximation chain: every process instance
 	// reachable from p is (re)computed against the previous approximations
@@ -132,7 +113,6 @@ func (d *Denoter) DenoteContext(ctx context.Context, p syntax.Proc, env Env) (*c
 	// instances are registered finitely often for the same reason the
 	// alphabet walker terminates.
 	start := time.Now()
-	workers := pool.Resolve(d.Workers)
 	d.iters = 0
 	for {
 		if err := pool.Canceled(ctx); err != nil {
@@ -145,24 +125,20 @@ func (d *Denoter) DenoteContext(ctx context.Context, p syntax.Proc, env Env) (*c
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		budgetsBefore := len(d.instances)
 		// Snapshot each instance's budget before the pass; a budget raised
 		// mid-pass means a deeper use site was discovered and forces another
-		// pass, under both schedules.
+		// pass.
 		befores := make([]int, len(keys))
-		insts := make([]instance, len(keys))
 		for i, k := range keys {
 			befores[i] = d.budgets[k]
-			insts[i] = d.instances[k]
 		}
+		// At one worker pool.Run runs the pass inline, checking ctx before
+		// each instance and returning a panic in eval as pool.ErrPanic.
 		nexts := make([]*closure.Set, len(keys))
-		err := pool.Run(ctx, pool.Adaptive(workers, len(keys), d.SerialCutover), len(keys), func(i int) error {
-			next, err := d.eval(insts[i].body, insts[i].env, befores[i])
-			if err != nil {
-				return err
-			}
-			nexts[i] = next
-			return nil
+		err := pool.Run(ctx, 1, len(keys), func(i int) (err error) {
+			inst := d.instances[keys[i]]
+			nexts[i], err = d.eval(inst.body, inst.env, befores[i])
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -189,8 +165,7 @@ func (d *Denoter) DenoteContext(ctx context.Context, p syntax.Proc, env Env) (*c
 		// computes the answer against the fixed approximations. For deeply
 		// composed roots (a hidden n-way parallel product) the root is the
 		// most expensive term in the system; skipping its re-evaluation
-		// cuts the chain's allocation rate severalfold, which is what
-		// flattens the GOMAXPROCS>cores GC slope of BENCH_2026-08-05.
+		// cuts the chain's allocation rate severalfold.
 		if d.iters == 1 {
 			if _, err := d.eval(p, env, d.Depth); err != nil {
 				return nil, err
@@ -202,7 +177,7 @@ func (d *Denoter) DenoteContext(ctx context.Context, p syntax.Proc, env Env) (*c
 			Items:           len(keys),
 			Elapsed:         time.Since(start),
 		})
-		if !changed && len(d.instances) == budgetsBefore {
+		if !changed && len(d.instances) == len(keys) {
 			s, err := d.eval(p, env, d.Depth)
 			if err != nil {
 				return nil, err
@@ -234,33 +209,21 @@ func (d *Denoter) eval(p syntax.Proc, env Env, budget int) (*closure.Set, error)
 		if err != nil {
 			return nil, err
 		}
-		// The maps are shared with concurrent workers during a parallel
-		// pass; registration and budget-raising are the only map writes
-		// reachable from eval, so this critical section (no operator calls
-		// inside) is all the synchronisation the pass needs. Budget raises
-		// are monotone max-merges, so racing raisers converge to the same
-		// final budgets as any sequential order.
-		d.mu.Lock()
 		cur, ok := d.approx[key]
 		if !ok {
 			// First encounter: register the instance at a₀ = ⟦STOP⟧ and
 			// let the outer chain grow it.
-			d.mu.Unlock()
 			body, err := env.Instantiate(t)
 			if err != nil {
 				return nil, err
 			}
-			d.mu.Lock()
-			if cur, ok = d.approx[key]; !ok { // lost no race while instantiating
-				cur = closure.Stop()
-				d.approx[key] = cur
-				d.instances[key] = instance{body: body, env: env}
-			}
+			cur = closure.Stop()
+			d.approx[key] = cur
+			d.instances[key] = instance{body: body, env: env}
 		}
 		if budget > d.budgets[key] {
 			d.budgets[key] = budget
 		}
-		d.mu.Unlock()
 		return cur.TruncateTo(budget), nil
 	case syntax.Output:
 		c, err := env.EvalChanRef(t.Ch)

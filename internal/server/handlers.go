@@ -47,9 +47,9 @@ type runRequest struct {
 	// (/v1/refine only): does Impl refine Spec?
 	Impl string `json:"impl,omitempty"`
 	Spec string `json:"spec,omitempty"`
-	// Depth, Nat, Workers override the server defaults when positive;
-	// Workers additionally accepts -1 (csp.WorkersAuto) for machine-sized
-	// pools behind the adaptive serial/parallel cutover.
+	// Depth, Nat, Workers override the server defaults when positive.
+	// Workers, the goroutines sharing /v1/check's asserts or /v1/prove's
+	// obligations, also accepts -1 (csp.WorkersAuto, one per CPU).
 	Depth   int `json:"depth,omitempty"`
 	Nat     int `json:"nat,omitempty"`
 	Workers int `json:"workers,omitempty"`
@@ -115,6 +115,32 @@ const maxDepth = 64
 // alone bounds the request's time.
 const maxEvents = 1024
 
+// maxHistoryLen caps a /v1/prove request's maxlen: bounded validity's
+// case cap counts histories, not how long each one is. The corpus uses 4
+// and the default is 3.
+const maxHistoryLen = 8
+
+// maxBatch caps how many requests one /v1/batch carries, and maxWorkers
+// how many goroutines a request may ask for. A batch holds one admission
+// slot, so without them one body could run thousands of items at once.
+const (
+	maxBatch   = 64
+	maxWorkers = 64
+)
+
+// workers resolves a request's worker count: a positive count up to
+// maxWorkers or csp.WorkersAuto (-1, one goroutine per CPU); anything
+// else falls back to the server default.
+func (s *Server) workers(n int) (int, error) {
+	switch {
+	case n > maxWorkers:
+		return 0, fmt.Errorf("%w: workers %d exceeds the limit of %d", errBadRequest, n, maxWorkers)
+	case n <= 0 && n != csp.WorkersAuto:
+		return s.cfg.Workers, nil
+	}
+	return n, nil
+}
+
 // newRunResponse starts a response body with the schema version stamped.
 func newRunResponse(kind string) *runResponse {
 	return &runResponse{Schema: csp.WireSchema, Kind: kind}
@@ -138,6 +164,13 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 	if req.MaxEvents > maxEvents {
 		return resp, fmt.Errorf("%w: max_events %d exceeds the limit of %d", errBadRequest, req.MaxEvents, maxEvents)
 	}
+	if req.MaxLen > maxHistoryLen {
+		return resp, fmt.Errorf("%w: maxlen %d exceeds the limit of %d", errBadRequest, req.MaxLen, maxHistoryLen)
+	}
+	workers, err := s.workers(req.Workers)
+	if err != nil {
+		return resp, err
+	}
 	nat := req.Nat
 	if nat <= 0 {
 		nat = s.cfg.NatWidth
@@ -145,12 +178,6 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 	depth := req.Depth
 	if depth <= 0 {
 		depth = s.cfg.Depth
-	}
-	// A request may pin a positive count or csp.WorkersAuto (-1,
-	// machine-sized pools); anything else falls back to the server default.
-	workers := req.Workers
-	if workers <= 0 && workers != csp.WorkersAuto {
-		workers = s.cfg.Workers
 	}
 
 	mod, hash, hit, err := s.cache.Load(ctx, req.Source, csp.Options{NatWidth: nat})
@@ -195,7 +222,6 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 		res, err := mod.Traces(ctx, p, csp.EngineOptions{
 			Engine:    engine,
 			Depth:     depth,
-			Workers:   workers,
 			Progress:  tracker.Func(),
 			Seed:      req.Seed,
 			MaxEvents: req.MaxEvents,
@@ -403,21 +429,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	defer s.inflight.Done()
 
-	if len(req.Requests) == 0 {
+	workers, err := s.workers(req.Workers)
+	switch {
+	case len(req.Requests) == 0:
+		err = errors.New("empty batch")
+	case len(req.Requests) > maxBatch:
+		err = fmt.Errorf("%w: batch of %d requests exceeds the limit of %d", errBadRequest, len(req.Requests), maxBatch)
+	}
+	if err != nil {
 		s.metrics.record("batch", http.StatusBadRequest, 0)
-		writeJSON(w, http.StatusBadRequest, &runResponse{Schema: csp.WireSchema, Kind: "batch", Error: "empty batch"})
+		writeJSON(w, http.StatusBadRequest, &runResponse{Schema: csp.WireSchema, Kind: "batch", Error: err.Error()})
 		return
 	}
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-
-	// A request may pin a positive count or csp.WorkersAuto (-1,
-	// machine-sized pools); anything else falls back to the server default.
-	workers := req.Workers
-	if workers <= 0 && workers != csp.WorkersAuto {
-		workers = s.cfg.Workers
-	}
 
 	started := time.Now()
 	results := make([]*runResponse, len(req.Requests))

@@ -63,9 +63,9 @@ type Config struct {
 	Depth int
 	// NatWidth is the default NAT sampling width (default 3).
 	NatWidth int
-	// Workers is the default per-request engine worker count (default 1,
-	// i.e. serial engines; concurrency then comes from serving requests
-	// in parallel).
+	// Workers is the default per-request worker count for asserts, proof
+	// obligations and batch items (default 1, i.e. serial; concurrency
+	// then comes from serving requests in parallel).
 	Workers int
 	// RequestTimeout bounds each request's engine time (default 30s).
 	// Clients may ask for less via timeout_ms, never for more.

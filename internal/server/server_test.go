@@ -334,6 +334,57 @@ func TestMaxEventsCapped(t *testing.T) {
 	checkCapped(t, map[string]any{"source": "p = a!1 -> p\n", "process": "p", "engine": "runtime"}, "max_events", 1024)
 }
 
+// TestMaxLenCapped checks /v1/prove's history-length cap the same way:
+// maxlen has no other bound, and at nat 64 each step of it multiplies
+// every channel's history count by 66.
+func TestMaxLenCapped(t *testing.T) {
+	checkCapped(t, map[string]any{"source": "p = a!1 -> p\n", "process": "p"}, "maxlen", 8)
+}
+
+// TestWorkersCapped checks the cap on a request's worker count, on a
+// single request and a batch item through checkCapped and then on the
+// batch's own workers field: a batch holds one admission slot, so its
+// workers would otherwise bypass the server's admission limit.
+func TestWorkersCapped(t *testing.T) {
+	body := map[string]any{"source": "p = a!1 -> p\n", "process": "p", "depth": 2}
+	checkCapped(t, body, "workers", 64)
+
+	h := server.New(server.Config{}).Handler()
+	item := maps.Clone(body)
+	item["kind"] = "traces"
+	want := "bad request: workers 65 exceeds the limit of 64"
+	code, out := post(t, h, nil, "/v1/batch", map[string]any{"workers": 65, "requests": []map[string]any{item}})
+	if code != http.StatusBadRequest || out["error"] != want {
+		t.Fatalf("batch workers 65: code=%d error=%v, want 400 %q", code, out["error"], want)
+	}
+	code, out = post(t, h, nil, "/v1/batch", map[string]any{"workers": 64, "requests": []map[string]any{item}})
+	if code != http.StatusOK || out["ok"] != true {
+		t.Fatalf("batch workers 64: code=%d body=%v", code, out)
+	}
+}
+
+// TestBatchLengthCapped checks the cap on how many requests one batch
+// carries: 65 answers 400 before any item runs, and 64 answers 200.
+func TestBatchLengthCapped(t *testing.T) {
+	h := server.New(server.Config{}).Handler()
+	batch := func(n int) map[string]any {
+		items := make([]map[string]any, n)
+		for i := range items {
+			items[i] = map[string]any{"kind": "traces", "source": "p = a!1 -> p\n", "process": "p", "depth": 2}
+		}
+		return map[string]any{"requests": items}
+	}
+	want := "bad request: batch of 65 requests exceeds the limit of 64"
+	code, out := post(t, h, nil, "/v1/batch", batch(65))
+	if code != http.StatusBadRequest || out["error"] != want {
+		t.Fatalf("65 items: code=%d error=%v, want 400 %q", code, out["error"], want)
+	}
+	code, out = post(t, h, nil, "/v1/batch", batch(64))
+	if code != http.StatusOK || out["ok"] != true || len(out["results"].([]any)) != 64 {
+		t.Fatalf("64 items: code=%d ok=%v", code, out["ok"])
+	}
+}
+
 // TestClientDisconnect checks that a client hanging up mid-request maps
 // to 499 — and, more importantly, that the engines unwind cleanly (the
 // partests suite checks shard consistency after exactly this pattern).

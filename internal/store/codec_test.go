@@ -16,7 +16,7 @@ import (
 
 // sampleArtifact exercises every codec shape: all value kinds (including
 // nested sequences), shared trie nodes, multiple roots, and verdict blobs.
-func sampleArtifact(t *testing.T) *Artifact {
+func sampleArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	a := trace.Event{Chan: "a", Msg: value.Int(-3)}
 	b := trace.Event{Chan: "b[2]", Msg: value.Sym("ACK")}

@@ -14,9 +14,9 @@
 //	res, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 8, Workers: 4})
 //
 // Every method takes a context.Context and returns promptly after
-// cancellation with an error wrapping ErrCanceled; Workers > 1 fans the
-// denotational engine, assert sweeps and proof batches across a worker
-// pool over the sharded intern tables (DESIGN.md §3.2). Failure classes
+// cancellation with an error wrapping ErrCanceled; CheckOptions.Workers > 1
+// spreads CheckAll's asserts and CheckBatch's proofs across a worker pool
+// over the sharded intern tables (DESIGN.md §3.2, §3.7). Failure classes
 // are exposed as sentinel errors (ErrParse, ErrDepthExceeded,
 // ErrCanceled, ErrObligationFailed) for errors.Is dispatch.
 package csp
@@ -202,13 +202,10 @@ func KnownModels() []Model { return model.Known() }
 // leaves Depth zero.
 const DefaultDepth = 8
 
-// WorkersAuto, set as the Workers field of EngineOptions or CheckOptions
-// (the CLI spelling is -workers auto), sizes worker pools to the machine
-// (runtime.GOMAXPROCS) with the adaptive serial/parallel cutover engaged:
-// each parallel stage estimates its size (equation system, assert sweep,
-// obligation batch) and runs inline when the stage is too small to repay
-// goroutine spawn, so auto parallelism on a tiny spec costs the same as
-// Workers: 1. See DESIGN.md §3.7 for the measured thresholds.
+// WorkersAuto, set as CheckOptions.Workers (the CLI spelling is -workers
+// auto), sizes the worker pool to the machine (runtime.GOMAXPROCS). The
+// pool never starts more workers than there are items, so a spec with one
+// assert runs inline either way (DESIGN.md §3.7).
 const WorkersAuto = pool.WorkersAuto
 
 // DefaultMaxEvents bounds an EngineRuntime walk when EngineOptions leaves
@@ -231,12 +228,8 @@ type EngineOptions struct {
 	Engine Engine
 	// Depth is the trace-length bound; zero means DefaultDepth.
 	Depth int
-	// Workers fans EngineDenote's approximation chains across a worker
-	// pool when > 1; WorkersAuto sizes the pool to the machine. The
-	// parallel path returns node-identical results to the serial one, and
-	// the adaptive cutover routes stages below the measured threshold
-	// inline, so oversizing Workers never slows a small workload.
-	// EngineOp and EngineRuntime ignore it.
+	// Deprecated: Workers is ignored; every engine runs on the calling
+	// goroutine.
 	Workers int
 	// Progress, when non-nil, receives per-stage progress events.
 	// Callbacks must be cheap and goroutine-safe.
@@ -265,9 +258,10 @@ type CheckOptions struct {
 	// Depth is the trace-length bound of model checks; zero means
 	// DefaultDepth.
 	Depth int
-	// Workers distributes independent obligations (asserts, batch proofs)
-	// across a worker pool when > 1; WorkersAuto sizes the pool to the
-	// machine with the adaptive cutover engaged.
+	// Workers spreads CheckAll's asserts and CheckBatch's proofs across a
+	// pool of that many goroutines when > 1, one item per claim;
+	// WorkersAuto sizes the pool to the machine. Each check itself runs
+	// serially.
 	Workers int
 	// Progress, when non-nil, receives per-obligation progress events.
 	Progress Progress
@@ -535,7 +529,6 @@ func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*Trace
 		return &TraceResult{Set: set, Engine: EngineOp}, nil
 	case EngineDenote:
 		d := sem.NewDenoter(depth)
-		d.Workers = opts.Workers
 		d.Progress = opts.Progress
 		set, err := d.DenoteContext(ctx, p, m.env)
 		if err != nil {
@@ -714,10 +707,7 @@ func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResul
 	n := len(m.asserts)
 	out := make([]AssertResult, n)
 	var done atomic.Int64
-	// Asserts are whole model checks, so like proof batches the adaptive
-	// cutover is just "more than one" — and WorkersAuto resolves to the
-	// machine size.
-	err := pool.Run(ctx, pool.Adaptive(opts.Workers, n, 2), n, func(i int) error {
+	err := pool.Run(ctx, opts.Workers, n, func(i int) error {
 		decl := m.asserts[i]
 		dopts := CheckOptions{Model: opts.Model, Depth: opts.Depth}
 		if decl.Model != model.Traces {

@@ -113,7 +113,7 @@ func TestOpTracesProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []csp.ProgressEvent
-	opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: 6, Workers: 1, Progress: func(e csp.ProgressEvent) { events = append(events, e) }}
+	opts := csp.EngineOptions{Engine: csp.EngineOp, Depth: 6, Progress: func(e csp.ProgressEvent) { events = append(events, e) }}
 	if _, err := mod.Traces(context.Background(), p, opts); err != nil {
 		t.Fatal(err)
 	}
