@@ -358,7 +358,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	env := sem.NewEnv(paper.ProtocolSystem(2), 2)
 	b.Run("protocol", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := runtime.Run(syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
+			res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
 				Env: env, Seed: int64(i), MaxEvents: 200,
 			})
 			if err != nil {
@@ -373,7 +373,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	menv := sem.NewEnv(paper.MultiplierSystem([]int64{5, 3, 2}), 2)
 	b.Run("multiplier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := runtime.Run(syntax.Ref{Name: paper.NameMultiplier}, runtime.Config{
+			res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameMultiplier}, runtime.Config{
 				Env: menv, Seed: int64(i), MaxEvents: 200,
 			})
 			if err != nil {

@@ -25,7 +25,6 @@ package closure
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -485,43 +484,61 @@ func (p *Set) Traces() []trace.T {
 	return out
 }
 
-// TracesN returns at most limit traces of the set, sorted lexicographically
-// among themselves, and whether the listing was truncated. limit <= 0 means
-// unlimited. A truncated listing is a prefix-closed subset (the walk visits
-// every prefix of a trace before the trace), but which members survive
-// depends on internal edge order, not on trace order.
-func (p *Set) TracesN(limit int) ([]trace.T, bool) {
-	prealloc := p.root.size
-	if limit > 0 && limit < prealloc {
-		prealloc = limit
+// TracesN returns the limit least traces of the set in canonical order
+// (limit <= 0: all of them), and whether the set holds more. The walk
+// stops at the last trace listed, and a truncated listing is prefix
+// closed, because a prefix sorts before its extensions.
+func (p *Set) TracesN(limit int) ([]trace.T, bool) { return ListTraces(p, limit, false) }
+
+// WalkSorted implements View.WalkSorted. A node's edges are kept in event-id
+// order, so they are sorted by trace.Event.Compare as the walk enters the
+// node, unless they already are.
+func (p *Set) WalkSorted(visit func(depth int, last trace.Event, maximal bool) bool) bool {
+	w := sortedWalk{visit: visit}
+	return w.walk(p.root, 0, trace.Event{})
+}
+
+type sortedWalk struct {
+	visit func(depth int, last trace.Event, maximal bool) bool
+	// order stacks, for each node on the path whose edges were out of
+	// order, their positions in trace.Event.Compare order.
+	order []int
+}
+
+func (w *sortedWalk) walk(n *node, depth int, last trace.Event) bool {
+	if !w.visit(depth, last, len(n.edges) == 0) {
+		return false
 	}
-	if prealloc < 0 || prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	out := make([]trace.T, 0, prealloc)
-	truncated := false
-	var walk func(n *node, pfx trace.T) bool
-	walk = func(n *node, pfx trace.T) bool {
-		if limit > 0 && len(out) == limit {
-			truncated = true
-			return false
-		}
-		cp := make(trace.T, len(pfx))
-		copy(cp, pfx)
-		out = append(out, cp)
-		for _, e := range n.edges {
-			if !walk(e.child, append(pfx, e.ev)) {
+	edges := n.edges
+	if slices.IsSortedFunc(edges, func(a, b edge) int { return a.ev.Compare(b.ev) }) {
+		for _, e := range edges {
+			if !w.walk(e.child, depth+1, e.ev) {
 				return false
 			}
 		}
 		return true
 	}
-	walk(p.root, nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, truncated
+	if w.order == nil {
+		w.order = make([]int, 0, 64)
+	}
+	base := len(w.order)
+	for i := range edges {
+		w.order = append(w.order, i)
+	}
+	// Deeper nodes push above base; should that move w.order, seg keeps
+	// reading this node's positions from the old array.
+	seg := w.order[base:]
+	slices.SortFunc(seg, func(i, j int) int { return edges[i].ev.Compare(edges[j].ev) })
+	for _, i := range seg {
+		if !w.walk(edges[i].child, depth+1, edges[i].ev) {
+			return false
+		}
+	}
+	w.order = w.order[:base]
+	return true
 }
 
-// WalkDFS traverses the set depth-first in unspecified order. visit is
+// WalkDFS traverses the set depth-first in event-id order. visit is
 // called once per member trace (including <>), with the current path, which
 // is only valid for the duration of the call; returning false aborts the
 // whole walk. push and pop, when non-nil, bracket each descent along an
@@ -562,34 +579,9 @@ func (p *Set) TracesMax() []trace.T {
 }
 
 // TracesMaxN is TracesN restricted to maximal traces (those that are not a
-// proper prefix of another member): at most limit of them, sorted among
-// themselves, plus a truncation flag. limit <= 0 means unlimited.
-func (p *Set) TracesMaxN(limit int) ([]trace.T, bool) {
-	var out []trace.T
-	truncated := false
-	var walk func(n *node, pfx trace.T) bool
-	walk = func(n *node, pfx trace.T) bool {
-		if len(n.edges) == 0 {
-			if limit > 0 && len(out) == limit {
-				truncated = true
-				return false
-			}
-			cp := make(trace.T, len(pfx))
-			copy(cp, pfx)
-			out = append(out, cp)
-			return true
-		}
-		for _, e := range n.edges {
-			if !walk(e.child, append(pfx, e.ev)) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(p.root, nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, truncated
-}
+// proper prefix of another member): the limit least of them in canonical
+// order, and whether the set holds more. limit <= 0 means unlimited.
+func (p *Set) TracesMaxN(limit int) ([]trace.T, bool) { return ListTraces(p, limit, true) }
 
 // Same reports whether two sets are represented by the same interned node —
 // a pointer comparison. Same(q) implies Equal(q); the converse holds as

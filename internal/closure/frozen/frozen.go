@@ -36,19 +36,20 @@
 // tables, the same property the store codec's Decode has. The only
 // intern-table contact is *binding* — resolving the arena's local event
 // indices to the live process's dense trace.EventIDs — which happens
-// lazily, once, on first traversal of an already-validated arena (it
-// interns event symbols exactly as loading the module source would, and
-// never touches the trie interner).
+// lazily, once, on the first Contains or WalkDFS of an already-validated
+// arena (it interns event symbols exactly as loading the module source
+// would, and never touches the trie interner).
 //
 // Per-node edges are stored sorted by local event index, and membership
-// probes binary-search that order directly. Depth-first listings must
-// instead visit edges in *live* event-id order to match what a rebuilt
-// interned set yields (byte-identical responses, including truncated
-// ones). When binding finds the local order already monotone in live ids —
-// the common case for a process that boots from the store before computing
-// anything — traversal reads the edge rows as they lie; otherwise binding
-// materialises one permutation over the edge table and traversal reads
-// through it.
+// probes binary-search that order directly. Listings walk each node's
+// edges in trace.Event.Compare order of the decoded events (WalkSorted),
+// which needs no binding at all. Only Contains and WalkDFS bind: WalkDFS
+// must visit edges in *live* event-id order to match Set.WalkDFS on a
+// rebuilt interned set. When binding finds the local order already
+// monotone in live ids — the common case for a process that boots from
+// the store before computing anything — WalkDFS reads the edge rows as
+// they lie; otherwise binding materialises one permutation over the edge
+// table and WalkDFS reads through it.
 package frozen
 
 import (
@@ -56,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -482,40 +484,10 @@ func (v *NodeView) Traces() []trace.T {
 	return out
 }
 
-// TracesN mirrors Set.TracesN on the frozen graph: the same DFS in live
-// event-id order (so truncated listings keep the same members a rebuilt
-// set would keep), sorted canonically at the end.
+// TracesN mirrors Set.TracesN on the frozen graph: the limit least traces
+// in canonical order, and whether the set holds more.
 func (v *NodeView) TracesN(limit int) ([]trace.T, bool) {
-	v.a.bind()
-	prealloc := v.Size()
-	if limit > 0 && limit < prealloc {
-		prealloc = limit
-	}
-	if prealloc < 0 || prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	out := make([]trace.T, 0, prealloc)
-	truncated := false
-	var walk func(n int, pfx trace.T) bool
-	walk = func(n int, pfx trace.T) bool {
-		if limit > 0 && len(out) == limit {
-			truncated = true
-			return false
-		}
-		cp := make(trace.T, len(pfx))
-		copy(cp, pfx)
-		out = append(out, cp)
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
-			ev, child := v.a.liveEdge(j)
-			if !walk(int(child), append(pfx, v.a.events[ev])) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(int(v.idx), nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, truncated
+	return closure.ListTraces(v, limit, false)
 }
 
 // TracesMax returns the maximal traces in canonical order.
@@ -526,33 +498,53 @@ func (v *NodeView) TracesMax() []trace.T {
 
 // TracesMaxN mirrors Set.TracesMaxN on the frozen graph.
 func (v *NodeView) TracesMaxN(limit int) ([]trace.T, bool) {
-	v.a.bind()
-	var out []trace.T
-	truncated := false
-	var walk func(n int, pfx trace.T) bool
-	walk = func(n int, pfx trace.T) bool {
-		lo, hi := int(v.a.edgeStart(n)), int(v.a.edgeStart(n+1))
-		if lo == hi {
-			if limit > 0 && len(out) == limit {
-				truncated = true
-				return false
-			}
-			cp := make(trace.T, len(pfx))
-			copy(cp, pfx)
-			out = append(out, cp)
-			return true
-		}
-		for j := lo; j < hi; j++ {
-			ev, child := v.a.liveEdge(j)
-			if !walk(int(child), append(pfx, v.a.events[ev])) {
-				return false
-			}
-		}
-		return true
+	return closure.ListTraces(v, limit, true)
+}
+
+// WalkSorted implements closure.View.WalkSorted. It orders a node's edges
+// by the arena's own decoded events, so it never binds the arena.
+func (v *NodeView) WalkSorted(visit func(depth int, last trace.Event, maximal bool) bool) bool {
+	w := sortedWalk{a: v.a, visit: visit}
+	return w.walk(int(v.idx), 0, trace.Event{})
+}
+
+type sortedWalk struct {
+	a     *Arena
+	visit func(depth int, last trace.Event, maximal bool) bool
+	// order stacks, for each node on the path, its edge rows in
+	// trace.Event.Compare order.
+	order []int
+}
+
+func (w *sortedWalk) walk(n, depth int, last trace.Event) bool {
+	lo, hi := int(w.a.edgeStart(n)), int(w.a.edgeStart(n+1))
+	if !w.visit(depth, last, lo == hi) {
+		return false
 	}
-	walk(int(v.idx), nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, truncated
+	if w.order == nil {
+		w.order = make([]int, 0, 64)
+	}
+	base := len(w.order)
+	for j := lo; j < hi; j++ {
+		w.order = append(w.order, j)
+	}
+	// Deeper nodes push above base; should that move w.order, seg keeps
+	// reading this node's rows from the old array.
+	seg := w.order[base:]
+	slices.SortFunc(seg, func(x, y int) int { return w.event(x).Compare(w.event(y)) })
+	for _, j := range seg {
+		ev, child := w.a.edgeAt(j)
+		if !w.walk(int(child), depth+1, w.a.events[ev]) {
+			return false
+		}
+	}
+	w.order = w.order[:base]
+	return true
+}
+
+func (w *sortedWalk) event(row int) trace.Event {
+	ev, _ := w.a.edgeAt(row)
+	return w.a.events[ev]
 }
 
 // WalkDFS mirrors Set.WalkDFS on the frozen graph, visiting edges in live
@@ -613,7 +605,7 @@ type Stats struct {
 	ArenasOpened int64 `json:"arenas_opened"`
 	ArenaBytes   int64 `json:"arena_bytes"`
 	// Binds counts lazy event-id bindings (≤ ArenasOpened; an arena whose
-	// views are never traversed never binds).
+	// views only list, and never answer Contains or WalkDFS, never binds).
 	Binds int64 `json:"binds"`
 	// Hits counts read queries served from frozen views without a thaw.
 	Hits int64 `json:"hits"`

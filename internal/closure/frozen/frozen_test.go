@@ -3,6 +3,7 @@ package frozen
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cspsat/internal/closure"
@@ -298,5 +299,57 @@ func TestViewInterface(t *testing.T) {
 	}
 	if _, err := a.View(99); err == nil {
 		t.Fatalf("out-of-range View succeeded")
+	}
+}
+
+// TestTruncatedListingsKeepLeastTraces interns fresh events in reverse
+// trace.Event.Compare order, so live event ids order every node's edges
+// backwards: TracesN(k) and TracesMaxN(k) must still return the k least
+// members in trace.T.Compare order, on the live set and on its frozen
+// view alike.
+func TestTruncatedListingsKeepLeastTraces(t *testing.T) {
+	var evs []trace.Event
+	for _, ch := range []trace.Chan{"zzleast", "mmleast", "aaleast"} {
+		for _, m := range []int64{2, 1, 0} {
+			ev := trace.Event{Chan: ch, Msg: value.Int(m)}
+			ev.ID() // hand out ids in this, reverse, order
+			evs = append(evs, ev)
+		}
+	}
+	b := closure.NewBuilder()
+	for i, e := range evs {
+		b.Add(trace.T{e, evs[(i+4)%len(evs)], evs[(i+7)%len(evs)]})
+		b.Add(trace.T{e, evs[len(evs)-1-i]})
+	}
+	s := b.Set()
+
+	var all []trace.T
+	s.WalkDFS(func(path trace.T) bool {
+		all = append(all, append(trace.T{}, path...))
+		return true
+	}, nil, nil)
+	slices.SortFunc(all, trace.T.Compare)
+	var maximal []trace.T
+	for i, tr := range all {
+		if i+1 == len(all) || !tr.IsPrefixOf(all[i+1]) {
+			maximal = append(maximal, tr)
+		}
+	}
+
+	for _, view := range []closure.View{s, mustFreeze(t, s)} {
+		for k := 1; k <= len(all)+1; k++ {
+			got, truncated := view.TracesN(k)
+			want := all[:min(k, len(all))]
+			if !reflect.DeepEqual(got, want) || truncated != (k < len(all)) {
+				t.Fatalf("%T TracesN(%d) = %v, %v; want %v, %v", view, k, got, truncated, want, k < len(all))
+			}
+		}
+		for k := 1; k <= len(maximal)+1; k++ {
+			got, truncated := view.TracesMaxN(k)
+			want := maximal[:min(k, len(maximal))]
+			if !reflect.DeepEqual(got, want) || truncated != (k < len(maximal)) {
+				t.Fatalf("%T TracesMaxN(%d) = %v, %v; want %v, %v", view, k, got, truncated, want, k < len(maximal))
+			}
+		}
 	}
 }

@@ -25,17 +25,12 @@
 package journal
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -113,62 +108,6 @@ var VolatileKeys = map[string]bool{
 	"elapsed_ms": true,
 	"progress":   true,
 	"cache_hit":  true,
-}
-
-// Normalize renders a response body into its canonical comparable form:
-// JSON re-marshaled with sorted keys and the VolatileKeys stripped at
-// every depth. Non-JSON input is returned as-is — such a body has no
-// volatile fields to forgive, so raw equality is the right comparison.
-func Normalize(body []byte) []byte {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return body
-	}
-	// Trailing garbage after the JSON document: not a wire body we ever
-	// produce; compare raw.
-	if _, err := dec.Token(); err != io.EOF {
-		return body
-	}
-	out, err := json.Marshal(stripVolatile(v))
-	if err != nil {
-		return body
-	}
-	return out
-}
-
-func stripVolatile(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make(map[string]any, len(t))
-		for _, k := range keys {
-			if VolatileKeys[k] {
-				continue
-			}
-			out[k] = stripVolatile(t[k])
-		}
-		return out
-	case []any:
-		for i := range t {
-			t[i] = stripVolatile(t[i])
-		}
-		return t
-	default:
-		return v
-	}
-}
-
-// Digest returns the hex SHA-256 of the normalized body — the value
-// recorded in Record.RespDigest and recomputed by replay.
-func Digest(body []byte) string {
-	sum := sha256.Sum256(Normalize(body))
-	return hex.EncodeToString(sum[:])
 }
 
 // Writer appends frames to one journal file. Safe for concurrent use; the

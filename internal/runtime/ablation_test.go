@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestBufferedChannelsViolateSynchrony(t *testing.T) {
 		},
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		res, err := runtime.Run(syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
+		res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
 			Env: env, Seed: seed, MaxEvents: 60,
 			Monitor: runtime.MonitorSat(lenInv, env, nil),
 		})

@@ -16,6 +16,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,6 +24,7 @@ import (
 
 	"cspsat/internal/assertion"
 	"cspsat/internal/op"
+	"cspsat/internal/pool"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
@@ -104,8 +106,10 @@ type decision struct {
 	stop bool
 }
 
-// Run executes the process as a concurrent network.
-func Run(p syntax.Proc, cfg Config) (*Result, error) {
+// Run executes the process as a concurrent network. ctx is checked before
+// every event: once it is done, Run stops the leaves and returns
+// pool.Canceled's error, which wraps csperr.ErrCanceled.
+func Run(ctx context.Context, p syntax.Proc, cfg Config) (*Result, error) {
 	leaves, hidden, err := decompose(p, cfg.Env, trace.NewSet())
 	if err != nil {
 		return nil, err
@@ -144,6 +148,10 @@ func Run(p syntax.Proc, cfg Config) (*Result, error) {
 	pending := len(leaves)
 
 	for {
+		if err := pool.Canceled(ctx); err != nil {
+			stopAll()
+			return nil, err
+		}
 		for pending > 0 {
 			m := <-offerCh
 			if m.err != nil {

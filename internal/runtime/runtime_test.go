@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 func TestRunCopierNetwork(t *testing.T) {
 	m := paper.CopySystem()
 	env := sem.NewEnv(m, 3)
-	res, err := runtime.Run(syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
 		Env: env, Seed: 1, MaxEvents: 60,
 		Monitor: runtime.MonitorSat(paper.CopyNetSat(), env, nil),
 	})
@@ -46,7 +47,7 @@ func TestRunCopierNetwork(t *testing.T) {
 func TestRunCopySysHidesWire(t *testing.T) {
 	m := paper.CopySystem()
 	env := sem.NewEnv(m, 3)
-	res, err := runtime.Run(syntax.Ref{Name: paper.NameCopySys}, runtime.Config{
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameCopySys}, runtime.Config{
 		Env: env, Seed: 7, MaxEvents: 50,
 		Monitor: runtime.MonitorSat(paper.CopyNetSat(), env, nil),
 	})
@@ -78,7 +79,7 @@ func TestRunCopySysHidesWire(t *testing.T) {
 func TestRunProtocolMonitored(t *testing.T) {
 	m := paper.ProtocolSystem(2)
 	env := sem.NewEnv(m, 2)
-	res, err := runtime.Run(syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
 		Env: env, Seed: 42, MaxEvents: 400,
 		Monitor: runtime.MonitorSat(paper.ProtocolSat(), env, nil),
 	})
@@ -100,7 +101,7 @@ func TestRunProtocolMonitored(t *testing.T) {
 func TestRunMultiplierComputesScalarProducts(t *testing.T) {
 	m := paper.MultiplierSystem([]int64{5, 3, 2})
 	env := sem.NewEnv(m, 3)
-	res, err := runtime.Run(syntax.Ref{Name: paper.NameMultiplier}, runtime.Config{
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameMultiplier}, runtime.Config{
 		Env: env, Seed: 3, MaxEvents: 300,
 		Monitor: runtime.MonitorSat(paper.MultiplierSat(), env, nil),
 	})
@@ -124,7 +125,7 @@ func TestMonitorCatchesViolation(t *testing.T) {
 	env := sem.NewEnv(m, 3)
 	// The false claim input ≤ wire must be caught as soon as input leads.
 	bad := assertion.PrefixLE(assertion.Chan("input"), assertion.Chan("wire"))
-	res, err := runtime.Run(syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameCopyNet}, runtime.Config{
 		Env: env, Seed: 5, MaxEvents: 50,
 		Monitor: runtime.MonitorSat(bad, env, nil),
 	})
@@ -145,7 +146,7 @@ func TestQuiescenceOnStop(t *testing.T) {
 		Ch: syntax.ChanRef{Name: "out"}, Val: syntax.IntLit{Val: 7}, Cont: syntax.Stop{},
 	}})
 	env := sem.NewEnv(m, 2)
-	res, err := runtime.Run(syntax.Ref{Name: "once"}, runtime.Config{Env: env, Seed: 1})
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: "once"}, runtime.Config{Env: env, Seed: 1})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	m := paper.ProtocolSystem(2)
 	env := sem.NewEnv(m, 2)
 	run := func() trace.T {
-		res, err := runtime.Run(syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
+		res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
 			Env: env, Seed: 99, MaxEvents: 200,
 		})
 		if err != nil {
@@ -183,7 +184,7 @@ func TestRunTraceIsOpTrace(t *testing.T) {
 	m := paper.ProtocolSystem(2)
 	env := sem.NewEnv(m, 2)
 	for seed := int64(0); seed < 6; seed++ {
-		res, err := runtime.Run(syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
+		res, err := runtime.Run(context.Background(), syntax.Ref{Name: paper.NameProtocol}, runtime.Config{
 			Env: env, Seed: seed, MaxEvents: 12,
 		})
 		if err != nil {
@@ -212,7 +213,7 @@ func TestRunInternalChoice(t *testing.T) {
 	env := sem.NewEnv(m, 2)
 	seen := map[string]bool{}
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := runtime.Run(syntax.Ref{Name: "maybe"}, runtime.Config{Env: env, Seed: seed, MaxEvents: 10})
+		res, err := runtime.Run(context.Background(), syntax.Ref{Name: "maybe"}, runtime.Config{Env: env, Seed: seed, MaxEvents: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestRuntimeBroadcast(t *testing.T) {
 	m.MustDefine(syntax.Def{Name: "net", Body: syntax.ParAll(
 		syntax.Ref{Name: "src"}, syntax.Ref{Name: "sink1"}, syntax.Ref{Name: "sink2"})})
 	env := sem.NewEnv(m, 2)
-	res, err := runtime.Run(syntax.Ref{Name: "net"}, runtime.Config{Env: env, Seed: 2, MaxEvents: 10})
+	res, err := runtime.Run(context.Background(), syntax.Ref{Name: "net"}, runtime.Config{Env: env, Seed: 2, MaxEvents: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

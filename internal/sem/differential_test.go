@@ -15,6 +15,7 @@ package sem_test
 // with a chatter budget inside the hide slack.
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -57,7 +58,7 @@ func denoteBoth(t *testing.T, label string, m *syntax.Module, main syntax.Proc) 
 func checkRuntimeContained(t *testing.T, label string, den *closure.Set, main syntax.Proc, env sem.Env, m *syntax.Module) {
 	t.Helper()
 	for seed := int64(0); seed < runSeeds; seed++ {
-		res, err := runtime.Run(main, runtime.Config{Env: env, Seed: seed, MaxEvents: diffDepth})
+		res, err := runtime.Run(context.Background(), main, runtime.Config{Env: env, Seed: seed, MaxEvents: diffDepth})
 		if err != nil {
 			t.Fatalf("%s seed %d: run: %v\nmodule:\n%s", label, seed, err, m)
 		}
@@ -139,11 +140,11 @@ func TestDifferentialRuntimeDeterminism(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m, main := gen.Module(r, gen.Config{MaxDepth: 4, AllowPar: true})
 		env := sem.NewEnv(m, 2)
-		a, err := runtime.Run(main, runtime.Config{Env: env, Seed: 7, MaxEvents: 6})
+		a, err := runtime.Run(context.Background(), main, runtime.Config{Env: env, Seed: 7, MaxEvents: 6})
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
-		b, err := runtime.Run(main, runtime.Config{Env: env, Seed: 7, MaxEvents: 6})
+		b, err := runtime.Run(context.Background(), main, runtime.Config{Env: env, Seed: 7, MaxEvents: 6})
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}

@@ -56,8 +56,8 @@ type runRequest struct {
 	// MaxOnly lists only maximal traces (/v1/traces).
 	MaxOnly bool `json:"max_only,omitempty"`
 	// MaxTraces lowers the server's cap on how many traces the response
-	// lists (/v1/traces); it can never raise it. The response marks
-	// truncated listings.
+	// lists (/v1/traces); it can never raise it. A truncated listing holds
+	// the least traces in canonical order, and the response marks it.
 	MaxTraces int `json:"max_traces,omitempty"`
 	// Seed and MaxEvents drive the runtime engine (/v1/traces).
 	Seed      int64 `json:"seed,omitempty"`
@@ -111,8 +111,8 @@ const maxNat = 64
 const maxDepth = 64
 
 // maxEvents caps a runtime-engine request's walk length at the runtime's
-// own default. The walk does not watch the request context, so its length
-// alone bounds the request's time.
+// own default. The walk checks the request context before every event;
+// the cap bounds the trace, event log and history a walk holds.
 const maxEvents = 1024
 
 // maxHistoryLen caps a /v1/prove request's maxlen: bounded validity's

@@ -12,8 +12,9 @@
 // in place forever after), the named denotation roots (arena node indices
 // per process/engine/depth), and the check/prove/refine verdicts as opaque
 // wire-format blobs. The ids baked into the image are arena-local; the
-// live engines' dense trace ids are re-derived lazily on first traversal
-// (frozen's bind step), and rebuilding through the interner happens only
+// live engines' dense trace ids are re-derived lazily on the first
+// membership probe or id-order walk (frozen's bind step; listings need
+// none), and rebuilding through the interner happens only
 // when a caller explicitly thaws — loads alone intern nothing.
 //
 // Files are written via temp file + atomic rename and read with strict

@@ -57,7 +57,18 @@ type Event struct {
 }
 
 // String renders the event in the paper's "c.m" notation.
-func (e Event) String() string { return string(e.Chan) + "." + e.Msg.String() }
+func (e Event) String() string {
+	var buf [32]byte
+	return string(e.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of e to b and returns the
+// extended buffer.
+func (e Event) AppendTo(b []byte) []byte {
+	b = append(b, e.Chan...)
+	b = append(b, '.')
+	return e.Msg.AppendTo(b)
+}
 
 // Compare totally orders events by channel then message.
 func (e Event) Compare(f Event) int {

@@ -15,6 +15,7 @@ package value
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -173,24 +174,34 @@ func (v V) Compare(w V) int {
 // String renders the value in the paper's concrete syntax: integers and
 // symbols bare, sequences in angle brackets.
 func (v V) String() string {
+	if v.kind == KindSym {
+		return v.s
+	}
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of v to b and returns the
+// extended buffer.
+func (v V) AppendTo(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return strconv.AppendInt(b, v.i, 10)
 	case KindSym:
-		return v.s
+		return append(b, v.s...)
 	case KindBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.b)
 	case KindSeq:
-		parts := make([]string, len(v.seq))
+		b = append(b, '<')
 		for i, e := range v.seq {
-			parts[i] = e.String()
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = e.AppendTo(b)
 		}
-		return "<" + strings.Join(parts, ",") + ">"
+		return append(b, '>')
 	default:
-		return "<?invalid value?>"
+		return append(b, "<?invalid value?>"...)
 	}
 }
 

@@ -550,8 +550,9 @@ func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*Trace
 }
 
 // Run executes p as a goroutine network with true CSP rendezvous, feeding
-// every communication to the monitors in order. The runtime itself is not
-// preemptible mid-rendezvous; ctx is checked before the run starts.
+// every communication to the monitors in order. ctx is checked before the
+// run starts and before every event; a canceled run returns an error
+// wrapping ErrCanceled.
 func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors ...Monitor) (*RunResult, error) {
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
@@ -578,7 +579,7 @@ func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors .
 			return nil
 		}
 	}
-	return runtime.Run(p, runtime.Config{
+	return runtime.Run(ctx, p, runtime.Config{
 		Env:       m.env,
 		Seed:      opts.Seed,
 		MaxEvents: maxEvents,

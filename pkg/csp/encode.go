@@ -6,8 +6,10 @@
 package csp
 
 import (
+	"cspsat/internal/closure"
 	"cspsat/internal/failures"
 	"cspsat/internal/progress"
+	"cspsat/internal/trace"
 )
 
 // WireSchema is the version stamped as "schema" into every /v1/* JSON
@@ -55,31 +57,65 @@ type TraceSetJSON struct {
 
 // EncodeTraceSet renders a TraceResult. With maxOnly, only maximal traces
 // are listed (Count still reports the full set). limit bounds how many
-// traces the listing holds (<= 0: unlimited); hash-consed sets can hold
-// astronomically more members than any response could carry, so servers
-// must pass a limit.
+// traces the listing holds (<= 0: unlimited), and a truncated listing
+// holds the limit least traces in canonical order; hash-consed sets can
+// hold astronomically more members than any response could carry, so
+// servers must pass a limit.
 func EncodeTraceSet(r *TraceResult, maxOnly bool, limit int) TraceSetJSON {
 	// View, not Set: a store-backed result encodes straight off the frozen
 	// arena — the response is byte-identical either way (the View contract),
 	// and serving never forces a rebuild.
 	v := r.View()
-	traces, truncated := v.TracesN(limit)
-	if maxOnly {
-		traces, truncated = v.TracesMaxN(limit)
-	}
 	out := TraceSetJSON{
 		Engine:     r.Engine.String(),
-		Truncated:  truncated,
-		Traces:     make([]TraceJSON, 0, len(traces)),
 		Count:      v.Size(),
 		MaxLen:     v.MaxLen(),
 		Iterations: r.Iterations,
 		Events:     r.Events,
 	}
-	for _, t := range traces {
-		out.Traces = append(out.Traces, EncodeTrace(t))
+	l := traceSetListing{Picker: closure.NewPicker(v, limit, maxOnly), out: out}
+	l.out.Traces = make([]TraceJSON, 0, l.Capacity())
+	v.WalkSorted(l.visit)
+	l.out.Truncated = l.Truncated
+	return l.out
+}
+
+// traceSetListing renders the members a Picker picks. path holds the
+// rendered events of the member the walk is at, each rendered once, as the
+// walk enters its edge; a picked member's TraceJSON is a copy of path
+// carved from backing.
+type traceSetListing struct {
+	closure.Picker
+	out           TraceSetJSON
+	path, backing []string
+	buf           []byte
+}
+
+func (l *traceSetListing) visit(depth int, last trace.Event, maximal bool) bool {
+	pick, more := l.Pick(maximal)
+	if !pick && !more {
+		return false
 	}
-	return out
+	if depth > 0 {
+		if l.path == nil {
+			l.path = make([]string, 0, l.out.MaxLen)
+		}
+		l.buf = last.AppendTo(l.buf[:0])
+		l.path = append(l.path[:depth-1], string(l.buf))
+	}
+	if pick {
+		t := TraceJSON{}
+		if depth > 0 {
+			if l.backing == nil {
+				l.backing = make([]string, 0, cap(l.out.Traces))
+			}
+			start := len(l.backing)
+			l.backing = append(l.backing, l.path...)
+			t = l.backing[start:len(l.backing):len(l.backing)]
+		}
+		l.out.Traces = append(l.out.Traces, t)
+	}
+	return more
 }
 
 // ViolationJSON is a counterexample to P sat R.

@@ -2,6 +2,7 @@ package csp_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,5 +165,30 @@ func TestRunThroughFacade(t *testing.T) {
 	mon, err := mod.Run(ctx, net, opts, mod.MonitorSat(paper.CopyNetSat()))
 	if err != nil || mon.MonitorErr != nil {
 		t.Fatalf("monitored run: %v %v", err, mon.MonitorErr)
+	}
+}
+
+// TestRunHonoursContext cancels a run's context from its monitor at the
+// first event: the run must stop there, not at MaxEvents, and report the
+// cancellation.
+func TestRunHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mod := loadSpec(t, "copier.csp")
+	p, err := mod.Proc("copier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	_, err = mod.Run(ctx, p, csp.EngineOptions{MaxEvents: 1024}, func(csp.EventRecord, csp.History) error {
+		events++
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, csp.ErrCanceled) {
+		t.Fatalf("Run returned %v after %d events; want an error wrapping ErrCanceled", err, events)
+	}
+	if events != 1 {
+		t.Fatalf("the monitor saw %d events after canceling at the first", events)
 	}
 }
