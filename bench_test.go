@@ -10,6 +10,7 @@ package cspsat_test
 import (
 	"context"
 	"fmt"
+	"os"
 	"testing"
 
 	"cspsat/internal/assertion"
@@ -599,6 +600,36 @@ func BenchmarkFailuresProtocolVsBuffer(b *testing.B) {
 		if _, can := m.CanDeadlock(); can {
 			b.Fatal("protocol deadlocked")
 		}
+	}
+}
+
+// BenchmarkFailuresDepth computes the failures model of buffers' buf2 at
+// nat 3 and growing depth. Its traces grow from 646 at depth 6 to 23,326
+// at depth 10, while the walk meets the same 14 τ-closed state lists at
+// every depth, so allocs/op stays flat across the rows unless the model
+// goes back to visiting every trace.
+func BenchmarkFailuresDepth(b *testing.B) {
+	src, err := os.ReadFile("specs/buffers.csp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := parser.Parse(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := sem.NewEnv(f.Module, 3)
+	for _, depth := range []int{6, 8, 10} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, err := failures.Compute(syntax.Ref{Name: "buf2"}, env, depth)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, can := m.CanDeadlock(); can {
+					b.Fatal("buf2 deadlocked")
+				}
+			}
+		})
 	}
 }
 

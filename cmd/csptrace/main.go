@@ -63,7 +63,7 @@ func main() {
 			app.Fail(err)
 		}
 		fmt.Print(fm)
-		fmt.Printf("-- %d traces with acceptance families (failures model, depth %d)\n", len(fm.Traces()), *depth)
+		fmt.Printf("-- %d traces with acceptance families (failures model, depth %d)\n", fm.Size(), *depth)
 		app.Finish()
 		return
 	}

@@ -182,7 +182,7 @@ func (c *Checker) satBehavioural(p syntax.Proc, a assertion.A) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("check: unknown behavioural assertion %T", a)
 	}
-	res := Result{OK: fr.OK, Depth: c.depth, Model: c.Model, TracesChecked: len(fm.Traces())}
+	res := Result{OK: fr.OK, Depth: c.depth, Model: c.Model, TracesChecked: fm.Size()}
 	if !fr.OK {
 		fr := fr
 		res.Refusal = &fr

@@ -64,9 +64,8 @@ func (m *Model) CheckOffers(chans []trace.Chan) CheckResult {
 	for _, c := range chans {
 		want[c] = true
 	}
-	for _, k := range m.order {
-		e := m.traces[k]
-		for _, acc := range e.accs {
+	for _, n := range m.nodes {
+		for _, acc := range n.accs {
 			offered := false
 			for _, ev := range acc {
 				if want[ev.Chan] {
@@ -75,8 +74,8 @@ func (m *Model) CheckOffers(chans []trace.Chan) CheckResult {
 				}
 			}
 			if !offered {
-				cp := make(trace.T, len(e.trace))
-				copy(cp, e.trace)
+				cp := make(trace.T, len(n.trace))
+				copy(cp, n.trace)
 				return CheckResult{OK: false, Trace: cp, Acceptance: acc, Depth: m.depth}
 			}
 		}

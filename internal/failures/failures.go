@@ -26,6 +26,7 @@ package failures
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -62,6 +63,10 @@ func (a Acceptance) contains(e trace.Event) bool {
 	return false
 }
 
+// equal reports whether a and b hold the same events; both are in
+// canonical order.
+func (a Acceptance) equal(b Acceptance) bool { return slices.EqualFunc(a, b, sameEvent) }
+
 // subset reports a ⊆ b.
 func (a Acceptance) subset(b Acceptance) bool {
 	for _, e := range a {
@@ -73,17 +78,26 @@ func (a Acceptance) subset(b Acceptance) bool {
 }
 
 // Model is the stable-failures semantics of one process up to a trace
-// depth: its visible traces with, per trace, the acceptance family of the
-// stable states reachable after it.
+// depth, in normal form: one node per distinct τ-closed state list that
+// op.Explorer.Walk meets, holding the acceptance family of the list's
+// stable states and the list's successor edges. A trace's acceptance
+// family is that of the node it reaches, and every verdict below is read
+// off the nodes, not off the traces, whose number grows exponentially with
+// depth.
 type Model struct {
-	depth  int
-	traces map[string]*entry
-	order  []string
+	depth int
+	nodes []node
+	size  int
 }
 
-type entry struct {
+// node is one state list of the walk: the first trace, in breadth-first
+// order, that reaches it, the acceptance family of its stable states in
+// discovery order, and its successors, nil on a node first met at the
+// depth bound.
+type node struct {
 	trace trace.T
 	accs  []Acceptance
+	edges []op.Edge
 }
 
 // Compute explores the process and builds its stable-failures model to the
@@ -93,28 +107,36 @@ func Compute(p syntax.Proc, env sem.Env, depth int) (*Model, error) {
 }
 
 // ComputeContext is Compute under a context: the model is read off
-// op.Explorer.Walk, which checks ctx per explored trace (cancellation
-// surfaces as an error wrapping csperr.ErrCanceled, the same discipline as
-// every other engine) and caps every τ-closure at op.DefaultMaxTauStates
-// (an error wrapping csperr.ErrDepthExceeded).
+// op.Explorer.Walk, which checks ctx per node (cancellation surfaces as an
+// error wrapping csperr.ErrCanceled, the same discipline as every other
+// engine) and caps every τ-closure at op.DefaultMaxTauStates (an error
+// wrapping csperr.ErrDepthExceeded).
 func ComputeContext(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (*Model, error) {
-	m := &Model{depth: depth, traces: map[string]*entry{}}
-	err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
-		steps, err := n.Steps()
-		if err != nil {
-			return err
+	m := &Model{depth: depth}
+	graph, err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
+		nd := node{trace: n.Trace}
+		if nd.trace == nil {
+			nd.trace = trace.T{}
 		}
-		ent := m.entryFor(n.Trace)
-		for _, ts := range steps {
-			if acc, stable := acceptance(ts); stable {
-				ent.add(acc)
+		for i := range n.IDs {
+			ts, _, err := n.Step(i)
+			if err != nil {
+				return err
+			}
+			if acc, stable := acceptance(ts); stable && !slices.ContainsFunc(nd.accs, acc.equal) {
+				nd.accs = append(nd.accs, acc)
 			}
 		}
+		m.nodes = append(m.nodes, nd)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for i, n := range graph {
+		m.nodes[i].edges = n.Edges
+	}
+	m.size = m.countTraces()
 	return m, nil
 }
 
@@ -134,65 +156,116 @@ func acceptance(ts []op.Transition) (Acceptance, bool) {
 	return acc, true
 }
 
-func (m *Model) entryFor(t trace.T) *entry {
-	k := t.IDKey()
-	if e, ok := m.traces[k]; ok {
-		return e
+// countTraces returns the number of traces up to the model's depth, the
+// empty trace included, saturating at math.MaxInt. A trace with r events
+// still to go below node n has count(n, r) = 1 + the sum of
+// count(child, r-1) over n's edges; the loop computes that for every node
+// at r = 0, 1, …, depth and reads node 0 at r = depth. A node without
+// edges counts 1 at every r, which is right where it is ever reached: at
+// the depth bound, with r = 0.
+func (m *Model) countTraces() int {
+	cur := make([]int, len(m.nodes))
+	next := make([]int, len(m.nodes))
+	for i := range cur {
+		cur[i] = 1
 	}
-	cp := make(trace.T, len(t))
-	copy(cp, t)
-	e := &entry{trace: cp}
-	m.traces[k] = e
-	m.order = append(m.order, k)
-	return e
+	for r := 1; r <= m.depth; r++ {
+		for i, n := range m.nodes {
+			c := 1
+			for _, e := range n.edges {
+				c = satAdd(c, cur[e.To])
+			}
+			next[i] = c
+		}
+		cur, next = next, cur
+	}
+	return cur[0]
 }
 
-func (e *entry) add(a Acceptance) {
-	for _, x := range e.accs {
-		if slices.EqualFunc(x, a, sameEvent) {
-			return
+// satAdd returns a+b for non-negative a and b, or math.MaxInt if the sum
+// overflows.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+// Size returns the number of traces of the model, the empty trace
+// included, or math.MaxInt if there are more: a process with k events on
+// offer at each step has about k^depth traces, which the model counts
+// without listing them.
+func (m *Model) Size() int { return m.size }
+
+// unfold calls visit on every trace of the model, in the breadth-first
+// order of the walk it was built from, with the index of the node the
+// trace reaches.
+func (m *Model) unfold(visit func(t trace.T, n int)) {
+	type item struct {
+		t trace.T
+		n int
+	}
+	queue := []item{{m.nodes[0].trace, 0}}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		visit(it.t, it.n)
+		if len(it.t) >= m.depth {
+			continue
+		}
+		for _, e := range m.nodes[it.n].edges {
+			queue = append(queue, item{it.t.Append(e.Ev), e.To})
 		}
 	}
-	e.accs = append(e.accs, a)
 }
-
-func sameEvent(x, y trace.Event) bool { return x.ID() == y.ID() }
 
 // Traces returns the model's traces in exploration order.
 func (m *Model) Traces() []trace.T {
-	out := make([]trace.T, 0, len(m.order))
-	for _, k := range m.order {
-		out = append(out, m.traces[k].trace)
-	}
+	var out []trace.T
+	m.unfold(func(t trace.T, _ int) { out = append(out, t) })
 	return out
 }
+
+// find returns the node trace t reaches, or nil if t is not a trace of the
+// model.
+func (m *Model) find(t trace.T) *node {
+	if len(t) > m.depth {
+		return nil
+	}
+	n := &m.nodes[0]
+	for _, ev := range t {
+		i := slices.IndexFunc(n.edges, func(e op.Edge) bool { return sameEvent(e.Ev, ev) })
+		if i < 0 {
+			return nil
+		}
+		n = &m.nodes[n.edges[i].To]
+	}
+	return n
+}
+
+func sameEvent(x, y trace.Event) bool { return x.Chan == y.Chan && x.Msg.Equal(y.Msg) }
 
 // Acceptances returns the acceptance family after the given trace; the
 // second result is false if the trace is not a trace of the process.
 func (m *Model) Acceptances(t trace.T) ([]Acceptance, bool) {
-	e, ok := m.traces[t.IDKey()]
-	if !ok {
+	n := m.find(t)
+	if n == nil {
 		return nil, false
 	}
-	return e.accs, true
+	return n.accs, true
 }
 
 // Refuses reports whether (t, X) is a failure of the process: after t some
 // stable state refuses every event of X.
 func (m *Model) Refuses(t trace.T, xs []trace.Event) bool {
-	e, ok := m.traces[t.IDKey()]
-	if !ok {
-		return false
-	}
-	for _, acc := range e.accs {
-		disjoint := true
-		for _, x := range xs {
-			if acc.contains(x) {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
+	n := m.find(t)
+	return n != nil && n.refuses(xs)
+}
+
+// refuses reports whether some acceptance of the node is disjoint from xs.
+func (n *node) refuses(xs []trace.Event) bool {
+	for _, acc := range n.accs {
+		if !slices.ContainsFunc(xs, acc.contains) {
 			return true
 		}
 	}
@@ -200,13 +273,12 @@ func (m *Model) Refuses(t trace.T, xs []trace.Event) bool {
 }
 
 // CanDeadlock reports whether some trace leads to a stable state that
-// refuses everything.
+// refuses everything, with the first such trace in exploration order.
 func (m *Model) CanDeadlock() (trace.T, bool) {
-	for _, k := range m.order {
-		e := m.traces[k]
-		for _, acc := range e.accs {
+	for _, n := range m.nodes {
+		for _, acc := range n.accs {
 			if len(acc) == 0 {
-				return e.trace, true
+				return n.trace, true
 			}
 		}
 	}
@@ -234,27 +306,56 @@ func (c *Counterexample) String() string {
 // Refines checks stable-failures refinement impl ⊑F spec on the two models
 // (which must have been computed to the same depth): trace inclusion plus,
 // per trace, every impl acceptance contains some spec acceptance.
+//
+// The search is breadth-first over pairs of an impl node and the spec node
+// the same trace reaches. What is checked at a trace, and everything below
+// it, is a function of its pair, so each pair is checked once, at its
+// first trace; the counterexample is the one a scan of impl's traces in
+// exploration order meets first.
 func Refines(impl, spec *Model) (*Counterexample, error) {
 	if impl.depth != spec.depth {
 		return nil, fmt.Errorf("failures: models computed to different depths (%d vs %d)", impl.depth, spec.depth)
 	}
-	for _, k := range impl.order {
-		ie := impl.traces[k]
-		se, ok := spec.traces[k]
-		if !ok {
-			return &Counterexample{Trace: ie.trace}, nil
+	// spec is -1 when the trace is not a spec trace. parent indexes the
+	// item the pair was first reached from, by event ev.
+	type pair struct{ impl, spec int }
+	type item struct {
+		pair
+		parent int
+		ev     trace.Event
+		depth  int
+	}
+	queue := []item{{pair: pair{0, 0}, parent: -1}}
+	seen := map[pair]bool{{0, 0}: true}
+	traceOf := func(k int) trace.T {
+		t := make(trace.T, queue[k].depth)
+		for ; k > 0; k = queue[k].parent {
+			t[queue[k].depth-1] = queue[k].ev
 		}
-		for _, ia := range ie.accs {
-			ok := false
-			for _, sa := range se.accs {
-				if sa.subset(ia) {
-					ok = true
-					break
-				}
+		return t
+	}
+	for k := 0; k < len(queue); k++ {
+		it := queue[k]
+		if it.spec < 0 {
+			return &Counterexample{Trace: traceOf(k)}, nil
+		}
+		in, sn := &impl.nodes[it.impl], &spec.nodes[it.spec]
+		for _, ia := range in.accs {
+			if !slices.ContainsFunc(sn.accs, func(sa Acceptance) bool { return sa.subset(ia) }) {
+				return &Counterexample{Trace: traceOf(k), ImplAcceptance: &ia}, nil
 			}
-			if !ok {
-				iaCopy := ia
-				return &Counterexample{Trace: ie.trace, ImplAcceptance: &iaCopy}, nil
+		}
+		if it.depth >= impl.depth {
+			continue
+		}
+		for _, e := range in.edges {
+			p := pair{e.To, -1}
+			if i := slices.IndexFunc(sn.edges, func(f op.Edge) bool { return sameEvent(f.Ev, e.Ev) }); i >= 0 {
+				p.spec = sn.edges[i].To
+			}
+			if !seen[p] {
+				seen[p] = true
+				queue = append(queue, item{pair: p, parent: k, ev: e.Ev, depth: it.depth + 1})
 			}
 		}
 	}
@@ -272,16 +373,17 @@ func Equivalent(a, b *Model) (*Counterexample, error) {
 
 // String summarises the model, one line per trace, for display and tests.
 func (m *Model) String() string {
-	var sb strings.Builder
-	for _, k := range m.order {
-		e := m.traces[k]
-		parts := make([]string, len(e.accs))
-		for i, a := range e.accs {
-			parts[i] = a.String()
+	fams := make([]string, len(m.nodes))
+	for i, n := range m.nodes {
+		parts := make([]string, len(n.accs))
+		for j, a := range n.accs {
+			parts[j] = a.String()
 		}
 		sort.Strings(parts)
-		fmt.Fprintf(&sb, "%s : %s\n", e.trace, strings.Join(parts, " "))
+		fams[i] = strings.Join(parts, " ")
 	}
+	var sb strings.Builder
+	m.unfold(func(t trace.T, n int) { fmt.Fprintf(&sb, "%s : %s\n", t, fams[n]) })
 	return sb.String()
 }
 
@@ -300,12 +402,12 @@ func (m *Model) String() string {
 func Diverges(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (trace.T, bool, error) {
 	var found trace.T
 	diverges := false
-	err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
-		steps, err := n.Steps()
+	_, err := new(op.Explorer).Walk(ctx, op.NewState(p, env), depth, func(n *op.Node) error {
+		cyclic, err := hasTauCycle(n)
 		if err != nil {
 			return err
 		}
-		if hasTauCycle(n.Keys, steps) {
+		if cyclic {
 			found, diverges = n.Trace, true
 			return op.SkipAll
 		}
@@ -318,40 +420,48 @@ func Diverges(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (trace
 }
 
 // hasTauCycle reports whether the τ-edges among a node's states form a
-// cycle, by DFS with colouring. keys[i] and steps[i] are state i's key and
-// transitions; the node is τ-closed, so every τ-successor is a state of it.
-func hasTauCycle(keys []string, steps [][]op.Transition) bool {
+// cycle, by DFS with colouring over the states' table ids. The node is
+// τ-closed, so every τ-successor is a state of it.
+func hasTauCycle(n *op.Node) (bool, error) {
 	const (
 		white = iota
 		grey
 		black
 	)
-	index := make(map[string]int, len(keys))
-	for i, k := range keys {
-		index[k] = i
+	index := make(map[uint32]int, len(n.IDs))
+	for i, id := range n.IDs {
+		index[id] = i
 	}
-	colour := make([]int, len(keys))
+	tau := make([][]int, len(n.IDs))
+	for i := range n.IDs {
+		trans, next, err := n.Step(i)
+		if err != nil {
+			return false, err
+		}
+		for j, tr := range trans {
+			if tr.Tau {
+				tau[i] = append(tau[i], index[next[j]])
+			}
+		}
+	}
+	colour := make([]int, len(n.IDs))
 	var visit func(i int) bool
 	visit = func(i int) bool {
 		colour[i] = grey
-		for _, tr := range steps[i] {
-			if !tr.Tau {
-				continue
-			}
-			j, ok := index[tr.Next.Key()]
-			if ok && (colour[j] == grey || (colour[j] == white && visit(j))) {
+		for _, j := range tau[i] {
+			if colour[j] == grey || (colour[j] == white && visit(j)) {
 				return true
 			}
 		}
 		colour[i] = black
 		return false
 	}
-	for i := range keys {
+	for i := range n.IDs {
 		if colour[i] == white && visit(i) {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // Nondeterminism is a witness that a process is not deterministic: after
@@ -371,26 +481,16 @@ func (n *Nondeterminism) String() string {
 // refusable after the same trace. Deterministic processes are exactly
 // those whose behaviour an environment can rely on; internal choice and
 // races on hidden channels are the typical sources of nondeterminism.
+// Both halves are properties of a node, its edges and its acceptances, so
+// each node is checked once, at its first trace; a node first met at the
+// depth bound has no recorded menu and is skipped.
 func (m *Model) Deterministic() *Nondeterminism {
-	for _, k := range m.order {
-		e := m.traces[k]
-		// Events possible after this trace: those whose extension is a
-		// trace of the model (exploration is exhaustive to depth, so use
-		// extensions present in the map; for the frontier depth the menu
-		// is not recorded, so skip traces at the bound).
-		if len(e.trace) >= m.depth {
-			continue
-		}
-		for _, k2 := range m.order {
-			e2 := m.traces[k2]
-			if len(e2.trace) != len(e.trace)+1 || !e.trace.IsPrefixOf(e2.trace) {
-				continue
-			}
-			ev := e2.trace[len(e.trace)]
-			if m.Refuses(e.trace, []trace.Event{ev}) {
-				cp := make(trace.T, len(e.trace))
-				copy(cp, e.trace)
-				return &Nondeterminism{Trace: cp, Ev: ev}
+	for _, n := range m.nodes {
+		for _, e := range n.edges {
+			if n.refuses([]trace.Event{e.Ev}) {
+				cp := make(trace.T, len(n.trace))
+				copy(cp, n.trace)
+				return &Nondeterminism{Trace: cp, Ev: e.Ev}
 			}
 		}
 	}

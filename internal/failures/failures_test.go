@@ -2,6 +2,7 @@ package failures_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"cspsat/internal/check"
@@ -320,5 +321,49 @@ func TestDeterministic(t *testing.T) {
 	}
 	if w := mp.Deterministic(); w != nil {
 		t.Errorf("protocol flagged nondeterministic: %s", w)
+	}
+}
+
+// TestSizeCountsTraces checks the model's trace count, which it computes
+// over (node, remaining depth) instead of listing traces: it must equal
+// the number of traces Traces lists, and at the request caps, where a
+// one-place buffer over 64 values has about 2^192 traces, it must stop at
+// math.MaxInt instead of wrapping.
+func TestSizeCountsTraces(t *testing.T) {
+	env := copierEnv()
+	copier := syntax.Ref{Name: paper.NameCopier}
+	penv := sem.NewEnv(paper.ProtocolSystem(2), 2)
+	for _, c := range []struct {
+		name  string
+		p     syntax.Proc
+		env   sem.Env
+		depth int
+	}{
+		{"copier", copier, env, 6},
+		{"flaky", syntax.IChoice{L: syntax.Stop{}, R: copier}, env, 5},
+		{"copysys", syntax.Ref{Name: paper.NameCopySys}, env, 7},
+		{"protocol", syntax.Ref{Name: paper.NameProtocol}, penv, 6},
+		{"stop", syntax.Stop{}, env, 3},
+		{"depth 0", copier, env, 0},
+	} {
+		m, err := failures.Compute(c.p, c.env, c.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Size(), len(m.Traces()); got != want {
+			t.Errorf("%s: Size %d, Traces lists %d", c.name, got, want)
+		}
+	}
+
+	buf1 := syntax.Input{Ch: syntax.ChanRef{Name: "input"}, Var: "x", Dom: syntax.SetName{Name: "NAT"},
+		Cont: syntax.Output{Ch: syntax.ChanRef{Name: "output"}, Val: syntax.Var{Name: "x"}, Cont: syntax.Ref{Name: "buf1"}}}
+	mod := syntax.NewModule()
+	mod.MustDefine(syntax.Def{Name: "buf1", Body: buf1})
+	m, err := failures.Compute(syntax.Ref{Name: "buf1"}, sem.NewEnv(mod, 64), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() != math.MaxInt {
+		t.Errorf("buf1 at nat 64 and depth 64: Size %d, want math.MaxInt", m.Size())
 	}
 }

@@ -152,7 +152,7 @@ func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closu
 	if cached, ok := x.memo[key]; ok {
 		return cached, nil
 	}
-	reach, err := x.tauClosure(id)
+	reach, err := x.tauClosure(nil, id)
 	if err != nil {
 		return nil, err
 	}
@@ -178,17 +178,18 @@ func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closu
 	return out, nil
 }
 
-// tauClosure returns the ids of every state reachable from state id by
-// zero or more τ-steps, id itself first, in depth-first discovery order.
+// tauClosure appends to dst the ids of every state reachable from state id
+// by zero or more τ-steps, id itself first, in depth-first discovery order.
 // τ-cycles (hidden divergence) terminate the closure without error: in
 // the paper's partial-correctness model a diverging branch simply
 // contributes no further visible traces.
-func (x *Explorer) tauClosure(id uint32) ([]uint32, error) {
+func (x *Explorer) tauClosure(dst []uint32, id uint32) ([]uint32, error) {
 	limit := x.MaxTauStates
 	if limit <= 0 {
 		limit = DefaultMaxTauStates
 	}
-	out := []uint32{id}
+	base := len(dst)
+	out := append(dst, id)
 	var seen map[uint32]bool // made at the first τ-step
 	work := []uint32{id}
 	for len(work) > 0 {
@@ -208,7 +209,7 @@ func (x *Explorer) tauClosure(id uint32) ([]uint32, error) {
 			if seen[next[i]] {
 				continue
 			}
-			if len(out) >= limit {
+			if len(out)-base >= limit {
 				return nil, fmt.Errorf("%w: op: τ-closure exceeded %d states; network too internally chatty or diverging", csperr.ErrDepthExceeded, limit)
 			}
 			seen[next[i]] = true
@@ -237,12 +238,12 @@ func TracesContext(ctx context.Context, p syntax.Proc, env sem.Env, depth int) (
 // through the nodes of Walk's subset construction.
 func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 	var x Explorer
-	n, err := x.node(nil, []uint32{x.intern(s)})
+	ids, err := x.tauClosure(nil, x.intern(s))
 	if err != nil {
 		return nil, false, err
 	}
 	for _, want := range t {
-		evs, seeds, err := n.successors()
+		evs, seeds, err := x.successors(ids)
 		if err != nil {
 			return nil, false, err
 		}
@@ -250,7 +251,7 @@ func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 		if i < 0 {
 			return nil, false, nil
 		}
-		if n, err = x.node(nil, seeds[i]); err != nil {
+		if ids, err = x.closeList(nil, seeds[i]); err != nil {
 			return nil, false, err
 		}
 	}
@@ -260,7 +261,7 @@ func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 	}
 	var menu []Transition
 	seen := map[edge]bool{}
-	for _, id := range n.ids {
+	for _, id := range ids {
 		trans, next, err := x.step(id)
 		if err != nil {
 			return nil, false, err

@@ -2,105 +2,142 @@ package op
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 
 	"cspsat/internal/pool"
 	"cspsat/internal/trace"
 )
 
-// SkipNode, returned by a Walk visitor, leaves the visited node's
-// successors unexplored.
-var SkipNode = errors.New("op: skip this node")
-
 // SkipAll, returned by a Walk visitor, ends the walk without error.
 var SkipAll = errors.New("op: skip the rest of the walk")
 
-// Node is one node of the subset construction Walk performs: a visible
-// trace and the deduplicated τ-closed set of states reachable after it.
+// Node is one node of the normal form Walk builds: a τ-closed list of
+// states, deduplicated and in discovery order, that some visible trace
+// reaches. The walk meets each distinct list once.
 type Node struct {
-	// Trace is the visible trace leading to the node. The walk allocates
-	// it afresh per node and never modifies it.
+	// Trace is the first trace, in breadth-first order, that reaches the
+	// node: a shortest one. The walk allocates it afresh per node and
+	// never modifies it.
 	Trace trace.T
-	// States is the τ-closed state set in discovery order; Keys[i] is
-	// States[i].Key().
+	// States is the τ-closed state list in discovery order; IDs[i] is the
+	// explorer's table id of States[i].
 	States []State
-	Keys   []string
-	x      *Explorer
-	ids    []uint32 // ids[i] is the table id of States[i]
+	IDs    []uint32
+	// Edges are the node's successors, one per visible event in first-seen
+	// order. Walk fills them after visiting the node, and leaves them nil
+	// on a node first met at the depth bound, which it does not expand.
+	Edges []Edge
+	x     *Explorer
 }
 
-// Steps returns Step(States[i]) for every state, read from the explorer's
-// state table: a state is stepped the first time any node, or any other
-// exploration by the same explorer, asks for it, so a node its visitor
-// skips without asking costs no step of its own. The transition slices
-// are shared and must not be modified.
-func (n *Node) Steps() ([][]Transition, error) {
-	steps := make([][]Transition, len(n.ids))
-	for i, id := range n.ids {
-		trans, _, err := n.x.step(id)
-		if err != nil {
+// Edge is one successor of a Node: after Ev the process is in the state
+// list of the node Walk visited To-th, counting from 0.
+type Edge struct {
+	Ev trace.Event
+	To int
+}
+
+// Step returns the transitions of States[i] and the table ids of their
+// targets, read from the explorer's state table: a state is stepped the
+// first time any node, or any other exploration by the same explorer,
+// asks for it. The slices are shared and must not be modified.
+func (n *Node) Step(i int) ([]Transition, []uint32, error) {
+	return n.x.step(n.IDs[i])
+}
+
+// Walk visits, breadth-first, one Node per distinct τ-closed state list
+// that a visible trace of s up to depth reaches: the normal form the
+// stable-failures model, divergence detection and deadlock search are read
+// off. A list's successors are its visible transitions grouped by event in
+// first-seen order, each group closed under τ with the explorer's capped
+// τ-closure; a node first met at depth is visited but not expanded.
+//
+// A list is keyed by its states' table ids in discovery order, not as a
+// set, and its successors, their order included, are a function of that
+// ordered list. So unfolding the returned graph from node 0 yields every
+// trace up to depth, each with the list it reaches, in exactly the
+// breadth-first order of a walk over traces: a node's Trace is the first
+// trace of that order to reach it.
+//
+// Walk returns the visited nodes in visit order, which their Edges index.
+// ctx is checked once per node, so a done ctx ends the walk with an error
+// wrapping csperr.ErrCanceled. visit, when non-nil, is called on each node
+// before it is expanded; SkipAll ends the walk and Walk returns no nodes
+// and no error, and any other error ends the walk and is returned.
+func (x *Explorer) Walk(ctx context.Context, s State, depth int, visit func(*Node) error) ([]*Node, error) {
+	list, err := x.tauClosure(nil, x.intern(s))
+	if err != nil {
+		return nil, err
+	}
+	key := listKey(nil, list)
+	nodes := []*Node{x.newNode(nil, list)}
+	index := map[string]int{string(key): 0}
+	for i := 0; i < len(nodes); i++ {
+		if err := pool.Canceled(ctx); err != nil {
 			return nil, err
 		}
-		steps[i] = trans
-	}
-	return steps, nil
-}
-
-// Walk visits, breadth-first, every visible trace of s up to depth as the
-// Node of states reachable after it: the one exploration the
-// stable-failures model, divergence detection and deadlock search are
-// read off. A node's successors are its visible transitions grouped by
-// event in first-seen order, each group closed under τ with the explorer's
-// capped τ-closure; nodes at depth are visited but not expanded. ctx is
-// checked once per node, so a done ctx ends the walk with an error
-// wrapping csperr.ErrCanceled. visit may return SkipNode or SkipAll; any
-// other error ends the walk and is returned.
-func (x *Explorer) Walk(ctx context.Context, s State, depth int, visit func(*Node) error) error {
-	root, err := x.node(nil, []uint32{x.intern(s)})
-	if err != nil {
-		return err
-	}
-	queue := []*Node{root}
-	for len(queue) > 0 {
-		if err := pool.Canceled(ctx); err != nil {
-			return err
-		}
-		n := queue[0]
-		queue = queue[1:]
-		switch err := visit(n); err {
-		case nil:
-		case SkipNode:
-			continue
-		case SkipAll:
-			return nil
-		default:
-			return err
+		n := nodes[i]
+		if visit != nil {
+			switch err := visit(n); err {
+			case nil:
+			case SkipAll:
+				return nil, nil
+			default:
+				return nil, err
+			}
 		}
 		if len(n.Trace) >= depth {
 			continue
 		}
-		evs, seeds, err := n.successors()
+		evs, seeds, err := x.successors(n.IDs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for i, ev := range evs {
-			c, err := x.node(n.Trace.Append(ev), seeds[i])
-			if err != nil {
-				return err
+		n.Edges = make([]Edge, len(evs))
+		for j, ev := range evs {
+			if list, err = x.closeList(list[:0], seeds[j]); err != nil {
+				return nil, err
 			}
-			queue = append(queue, c)
+			key = listKey(key[:0], list)
+			to, ok := index[string(key)]
+			if !ok {
+				to = len(nodes)
+				index[string(key)] = to
+				nodes = append(nodes, x.newNode(n.Trace.Append(ev), list))
+			}
+			n.Edges[j] = Edge{Ev: ev, To: to}
 		}
 	}
-	return nil
+	return nodes, nil
 }
 
-// successors groups the node's visible transitions by interned event, in
-// first-seen order: event evs[i] leads to each state id of seeds[i].
-// τ-successors are already inside the node.
-func (n *Node) successors() (evs []trace.Event, seeds [][]uint32, err error) {
+// newNode returns an unexpanded node at trace t holding a copy of list.
+func (x *Explorer) newNode(t trace.T, list []uint32) *Node {
+	n := &Node{Trace: t, IDs: make([]uint32, len(list)), States: make([]State, len(list)), x: x}
+	copy(n.IDs, list)
+	for i, id := range list {
+		n.States[i] = x.states[id].state
+	}
+	return n
+}
+
+// listKey appends the walk's key of a state list to b: its table ids in
+// order, four bytes each.
+func listKey(b []byte, list []uint32) []byte {
+	for _, id := range list {
+		b = binary.LittleEndian.AppendUint32(b, id)
+	}
+	return b
+}
+
+// successors groups the visible transitions of the states ids by interned
+// event, in first-seen order: event evs[i] leads to each state id of
+// seeds[i]. τ-successors are already among ids, which is τ-closed.
+func (x *Explorer) successors(ids []uint32) (evs []trace.Event, seeds [][]uint32, err error) {
 	index := map[trace.EventID]int{}
-	for _, id := range n.ids {
-		trans, next, err := n.x.step(id)
+	for _, id := range ids {
+		trans, next, err := x.step(id)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -122,27 +159,26 @@ func (n *Node) successors() (evs []trace.Event, seeds [][]uint32, err error) {
 	return evs, seeds, nil
 }
 
-// node closes each seed under τ and returns the node at t holding the
-// deduplicated union of the closures, in discovery order.
-func (x *Explorer) node(t trace.T, seeds []uint32) (*Node, error) {
-	n := &Node{Trace: t, x: x}
-	seen := map[uint32]bool{}
+// closeList closes each seed under τ and appends the deduplicated union of
+// the closures, in discovery order, to dst.
+func (x *Explorer) closeList(dst []uint32, seeds []uint32) ([]uint32, error) {
+	base := len(dst)
 	for _, s := range seeds {
-		cl, err := x.tauClosure(s)
-		if err != nil {
+		var err error
+		if dst, err = x.tauClosure(dst, s); err != nil {
 			return nil, err
 		}
-		for _, id := range cl {
-			if !seen[id] {
-				seen[id] = true
-				n.ids = append(n.ids, id)
-			}
+	}
+	if len(seeds) == 1 {
+		return dst, nil // one closure holds no repeats
+	}
+	seen := make(map[uint32]bool, len(dst)-base)
+	out := dst[:base]
+	for _, id := range dst[base:] {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
 		}
 	}
-	n.States = make([]State, len(n.ids))
-	n.Keys = make([]string, len(n.ids))
-	for i, id := range n.ids {
-		n.States[i], n.Keys[i] = x.states[id].state, x.states[id].key
-	}
-	return n, nil
+	return out, nil
 }

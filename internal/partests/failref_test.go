@@ -57,6 +57,8 @@ type refModel struct {
 	// acceptance keys of the stable states (no τ-step enabled) in its
 	// τ-closed set.
 	accs map[string]map[string]bool
+	// length maps every trace key to its number of events.
+	length map[string]int
 	// divergent holds the keys of the traces after which a τ-cycle is
 	// reachable; shortestDiv is the length of the shortest, -1 if none.
 	divergent   map[string]bool
@@ -81,6 +83,7 @@ func refAnalyse(t *testing.T, p syntax.Proc, env sem.Env, depth, limit int) (*re
 	t.Helper()
 	m := &refModel{
 		accs:        map[string]map[string]bool{},
+		length:      map[string]int{},
 		divergent:   map[string]bool{},
 		shortestDiv: -1,
 		stuck:       map[string]*refStuckState{},
@@ -117,6 +120,7 @@ func refAnalyse(t *testing.T, p syntax.Proc, env sem.Env, depth, limit int) (*re
 			}
 		}
 		m.accs[n.key] = accs
+		m.length[n.key] = n.depth
 		if refHasCycle(tauSucc) {
 			m.divergent[n.key] = true
 			if m.shortestDiv < 0 {
@@ -152,6 +156,150 @@ func refHasCycle(succ map[string][]string) bool {
 		}
 	}
 	return len(live) > 0
+}
+
+// refRefines is the reference ⊑F on two reference models, straight from
+// the definition: every trace of impl must be a trace of spec, and after
+// it every impl acceptance must contain some spec acceptance. It returns
+// the length of the shortest violating traces, -1 when impl ⊑F spec, and
+// for each violating trace of that length the impl acceptances that no
+// spec acceptance lies below, none when the trace is not a spec trace.
+func refRefines(impl, spec *refModel) (int, map[string]map[string]bool) {
+	shortest, bad := -1, map[string]map[string]bool{}
+	for k, iaccs := range impl.accs {
+		rejected := map[string]bool{}
+		saccs, isSpec := spec.accs[k]
+		for ia := range iaccs {
+			below := false
+			for sa := range saccs {
+				below = below || refAcceptanceSubset(sa, ia)
+			}
+			if isSpec && !below {
+				rejected[ia] = true
+			}
+		}
+		if isSpec && len(rejected) == 0 {
+			continue
+		}
+		switch n := impl.length[k]; {
+		case shortest < 0 || n < shortest:
+			shortest, bad = n, map[string]map[string]bool{k: rejected}
+		case n == shortest:
+			bad[k] = rejected
+		}
+	}
+	return shortest, bad
+}
+
+// refAcceptanceSubset reports whether every event of acceptance key a is
+// an event of acceptance key b. Every event key ends in a NUL byte.
+func refAcceptanceSubset(a, b string) bool {
+	in := map[string]bool{}
+	for _, e := range strings.SplitAfter(b, "\x00") {
+		in[e] = true
+	}
+	for _, e := range strings.SplitAfter(a, "\x00") {
+		if !in[e] {
+			return false
+		}
+	}
+	return true
+}
+
+// diffRefines compares cex, failures.Refines' verdict on impl ⊑F spec at
+// depth, with the reference's: the verdicts must match, the counterexample
+// must be one of the reference's shortest violating traces, and its
+// acceptance, if any, one that the reference rejects there too. It
+// reports whether the reference found impl ⊑F spec to hold.
+func diffRefines(t *testing.T, impl, spec syntax.Proc, env sem.Env, depth int, cex *failures.Counterexample) bool {
+	t.Helper()
+	ri, _ := refAnalyse(t, impl, env, depth, 0)
+	rs, _ := refAnalyse(t, spec, env, depth, 0)
+	shortest, bad := refRefines(ri, rs)
+	switch {
+	case cex == nil && shortest >= 0:
+		t.Errorf("Refines holds, but the reference has violations %d events long: %q", shortest, sortedKeys(setOf(bad)))
+	case cex != nil && shortest < 0:
+		t.Errorf("Refines fails with %s, but the reference holds", cex)
+	case cex != nil:
+		k := refTraceKey(cex.Trace)
+		rejected, ok := bad[k]
+		if !ok || len(cex.Trace) != shortest {
+			t.Errorf("counterexample %s is not among the reference's shortest violating traces, %d events long: %q",
+				cex, shortest, sortedKeys(setOf(bad)))
+			break
+		}
+		_, isSpec := rs.accs[k]
+		if cex.ImplAcceptance == nil {
+			if isSpec {
+				t.Errorf("counterexample %s, but the reference has that spec trace", cex)
+			}
+			break
+		}
+		evs := make([]string, len(*cex.ImplAcceptance))
+		for i, e := range *cex.ImplAcceptance {
+			evs[i] = refEventKey(e)
+		}
+		if !isSpec || !rejected[refAcceptanceKey(evs)] {
+			t.Errorf("counterexample %s: the reference rejects only %q after that trace", cex, sortedKeys(rejected))
+		}
+	}
+	return shortest < 0
+}
+
+func setOf[V any](m map[string]V) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
+}
+
+// TestRefinesMatchesReference diffs failures.Refines against the
+// reference both ways round on two spec pairs: buffers' buf1 and buf2,
+// which differ in their acceptances after one input and in their traces,
+// and the paper's §4 pair flaky and vend, where flaky refuses everything
+// after <> and vend ⊑F flaky holds.
+func TestRefinesMatchesReference(t *testing.T) {
+	held, failed := 0, 0
+	for _, c := range []struct{ file, a, b string }{
+		{"buffers.csp", "buf1", "buf2"},
+		{"nondet.csp", "flaky", "vend"},
+	} {
+		mod := loadSpec(t, c.file)
+		for _, pair := range [][2]string{{c.a, c.b}, {c.b, c.a}} {
+			t.Run(c.file+"/"+pair[0]+"-refines-"+pair[1], func(t *testing.T) {
+				impl, err := mod.Proc(pair[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec, err := mod.Proc(pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				mi, err := failures.Compute(impl, mod.Env(), walkRefDepth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := failures.Compute(spec, mod.Env(), walkRefDepth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cex, err := failures.Refines(mi, ms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diffRefines(t, impl, spec, mod.Env(), walkRefDepth, cex) {
+					held++
+				} else {
+					failed++
+				}
+			})
+		}
+	}
+	if held == 0 || failed == 0 {
+		t.Fatalf("%d refinements held and %d failed: the pairs must exercise both verdicts", held, failed)
+	}
 }
 
 // walkFindings counts what one diff exercised, so the tests can insist the

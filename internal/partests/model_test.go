@@ -73,6 +73,7 @@ func TestModelHierarchyRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: refines: %v", label, err)
 		}
+		t.Run(label, func(t *testing.T) { diffRefines(t, impl, spec, env, hierarchyDepth, cex) })
 		it, err := op.Traces(impl, env, hierarchyDepth)
 		if err != nil {
 			t.Fatalf("%s: op impl: %v", label, err)

@@ -274,6 +274,52 @@ func TestFailuresCheckRunawayCapped(t *testing.T) {
 	}
 }
 
+// TestFailuresTraceCountSaturates checks a failures-model check at the
+// request caps, nat 64 and depth 64: a one-place buffer has about 2^192
+// traces there, which the model counts over its 65 state lists instead of
+// visiting them. traces_checked must stop at the largest int instead of
+// wrapping, and the answer must come well inside the default timeout; a
+// model that visited every trace would still be walking when it expired.
+func TestFailuresTraceCountSaturates(t *testing.T) {
+	h := server.New(server.Config{}).Handler()
+	raw, err := json.Marshal(map[string]any{
+		"source": "buf1 = input?x:NAT -> output!x -> buf1\nassert buf1 sat deadlockfree\n",
+		"model":  "failures", "nat": 64, "depth": 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/check", bytes.NewReader(raw)))
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("answered after %v", elapsed)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("code=%d body=%s", rec.Code, rec.Body)
+	}
+	var out struct {
+		OK      bool `json:"ok"`
+		Asserts []struct {
+			Sat struct {
+				OK            bool        `json:"ok"`
+				TracesChecked json.Number `json:"traces_checked"`
+			} `json:"sat"`
+		} `json:"asserts"`
+	}
+	dec := json.NewDecoder(rec.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK || len(out.Asserts) != 1 || !out.Asserts[0].Sat.OK {
+		t.Fatalf("want one holding assert, got %+v", out)
+	}
+	if got := out.Asserts[0].Sat.TracesChecked; got != "9223372036854775807" {
+		t.Fatalf("traces_checked = %s, want 9223372036854775807", got)
+	}
+}
+
 // checkCapped posts body with field one above limit, to /v1/traces and as
 // a batch item, and expects 400 with the cap's message from both before
 // any engine runs; then it posts field at limit and expects 200, so the

@@ -195,23 +195,6 @@ func TestBitsetOpsAgainstMapModel(t *testing.T) {
 	}
 }
 
-// TestTraceIDKey checks IDKey distinguishes what Key distinguishes.
-func TestTraceIDKey(t *testing.T) {
-	e1 := Event{Chan: "symtest_k", Msg: value.Int(1)}
-	e2 := Event{Chan: "symtest_k", Msg: value.Int(2)}
-	t1 := T{e1, e2}
-	t2 := T{e2, e1}
-	if t1.IDKey() == t2.IDKey() {
-		t.Fatal("IDKey collides for distinct traces")
-	}
-	if t1.IDKey() != (T{e1, e2}).IDKey() {
-		t.Fatal("IDKey unstable for equal traces")
-	}
-	if len(t1.IDKey()) != 8 {
-		t.Fatalf("IDKey of a 2-event trace is %d bytes, want 8", len(t1.IDKey()))
-	}
-}
-
 // TestInternEventIDsCanonical checks alphabet interning ignores order and
 // duplicates, matching what Ignore's memo key relies on.
 func TestInternEventIDsCanonical(t *testing.T) {

@@ -193,20 +193,6 @@ func (t T) Key() string {
 	return sb.String()
 }
 
-// IDKey returns a compact canonical identity for the trace: the packed
-// interned event ids, 4 bytes per event. Equal traces have equal IDKeys
-// (and vice versa) for the process lifetime, since event ids are stable.
-// Prefer this over Key for map keys on hot paths — it is one small
-// allocation and never re-renders channel names or message payloads.
-func (t T) IDKey() string {
-	b := make([]byte, 0, 4*len(t))
-	for _, e := range t {
-		id := e.ID()
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
-}
-
 // History is ch(s): a finite map from channel to the sequence of messages
 // communicated on that channel, in order. Channels absent from the map have
 // the empty history, matching the paper's ch(s)(c) = <> for unused c.

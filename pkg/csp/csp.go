@@ -24,6 +24,7 @@ package csp
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -768,7 +769,11 @@ func (m *Module) checkQuantified(ck *check.Checker, quants []parser.Quant, p Pro
 		if err != nil {
 			return CheckResult{}, fmt.Errorf("%s=%v: %w", q.Var, v, err)
 		}
-		total.TracesChecked += r.TracesChecked
+		// The sum saturates at math.MaxInt, as a failures-model count
+		// does: min caps the left operand where the addition would wrap.
+		// Only trace-model sat asserts can be quantified today, and their
+		// counts are traces actually visited, so this is a guard.
+		total.TracesChecked = min(total.TracesChecked, math.MaxInt-r.TracesChecked) + r.TracesChecked
 		if !r.OK {
 			r.TracesChecked = total.TracesChecked
 			return r, nil
