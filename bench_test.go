@@ -30,6 +30,7 @@ import (
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
+	"cspsat/pkg/csp"
 )
 
 func copyChecker(depth int) *check.Checker {
@@ -627,6 +628,38 @@ func BenchmarkFailuresDepth(b *testing.B) {
 				}
 				if _, can := m.CanDeadlock(); can {
 					b.Fatal("buf2 deadlocked")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFailuresCheckClass runs the two costliest request classes of
+// the end-to-end failures-check workload in process: CheckAll under the
+// failures model at nat 3, the server's default width, and the depths the
+// workload sends. Both specs' asserts are trace asserts, so each row times
+// the explorer's trace recursion, not the failures model.
+func BenchmarkFailuresCheckClass(b *testing.B) {
+	for _, c := range []struct {
+		spec  string
+		depth int
+	}{
+		{"multiplier", 4},
+		{"philosophers", 6},
+	} {
+		src, err := os.ReadFile("specs/" + c.spec + ".csp")
+		if err != nil {
+			b.Fatal(err)
+		}
+		mod, err := csp.Load(context.Background(), string(src), csp.Options{NatWidth: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := csp.CheckOptions{Model: csp.ModelFailures, Depth: c.depth}
+		b.Run(c.spec, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := mod.CheckAll(context.Background(), opts); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

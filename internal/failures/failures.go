@@ -119,7 +119,7 @@ func ComputeContext(ctx context.Context, p syntax.Proc, env sem.Env, depth int) 
 			nd.trace = trace.T{}
 		}
 		for i := range n.IDs {
-			ts, _, err := n.Step(i)
+			ts, err := n.Step(i)
 			if err != nil {
 				return err
 			}
@@ -434,13 +434,13 @@ func hasTauCycle(n *op.Node) (bool, error) {
 	}
 	tau := make([][]int, len(n.IDs))
 	for i := range n.IDs {
-		trans, next, err := n.Step(i)
+		trans, err := n.Step(i)
 		if err != nil {
 			return false, err
 		}
 		for j, tr := range trans {
 			if tr.Tau {
-				tau[i] = append(tau[i], index[next[j]])
+				tau[i] = append(tau[i], index[n.Target(i, j)])
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func FindDeadlocks(ctx context.Context, s State, depth int) ([]Deadlock, error) 
 	seenStuck := map[uint32]bool{}
 	_, err := new(Explorer).Walk(ctx, s, depth, func(n *Node) error {
 		for i, id := range n.IDs {
-			ts, _, err := n.Step(i)
+			ts, err := n.Step(i)
 			if err != nil {
 				return err
 			}

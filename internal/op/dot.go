@@ -17,42 +17,31 @@ func DotLTS(s State, depth int) (string, error) {
 		label    string
 		tau      bool
 	}
-	ids := map[string]int{}
-	var labels []string
 	var edges []edgeRec
-	idOf := func(st State) (int, bool) {
-		k := st.Key()
-		if id, ok := ids[k]; ok {
-			return id, false
-		}
-		id := len(labels)
-		ids[k] = id
-		labels = append(labels, st.Proc.String())
-		return id, true
-	}
-
-	rootID, _ := idOf(s)
+	// A fresh explorer mints ids in breadth-first discovery order, so a
+	// state's id is its number in the drawing.
+	var x Explorer
 	type item struct {
-		st State
+		id uint32
 		d  int
-		id int
 	}
-	queue := []item{{st: s, d: 0, id: rootID}}
+	queue := []item{{id: x.intern(s), d: 0}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		if cur.d >= depth {
 			continue
 		}
-		ts, err := Step(cur.st)
+		ts, err := x.step(cur.id)
 		if err != nil {
 			return "", err
 		}
-		for _, tr := range ts {
-			nid, fresh := idOf(tr.Next)
-			edges = append(edges, edgeRec{from: cur.id, to: nid, label: tr.Ev.String(), tau: tr.Tau})
-			if fresh {
-				queue = append(queue, item{st: tr.Next, d: cur.d + 1, id: nid})
+		for i, tr := range ts {
+			known := len(x.states)
+			nid := x.target(cur.id, i)
+			edges = append(edges, edgeRec{from: int(cur.id), to: int(nid), label: tr.Ev.String(), tau: tr.Tau})
+			if int(nid) == known {
+				queue = append(queue, item{id: nid, d: cur.d + 1})
 			}
 		}
 	}
@@ -81,8 +70,8 @@ func DotLTS(s State, depth int) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("digraph lts {\n")
 	sb.WriteString("  rankdir=LR;\n  node [shape=circle, fontsize=10];\n")
-	for id, l := range labels {
-		short := l
+	for id, rec := range x.states {
+		short := rec.state.Proc.String()
 		const maxLabel = 40
 		if len(short) > maxLabel {
 			short = short[:maxLabel] + "…"

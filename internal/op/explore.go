@@ -13,6 +13,7 @@ import (
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
+	"cspsat/internal/value"
 )
 
 // Explorer enumerates the visible traces of a process by exhaustive search
@@ -36,28 +37,37 @@ type Explorer struct {
 
 	// memo caches set(state, budget) by comparable struct key — the
 	// budget plus the state's table id — so a lookup neither allocates
-	// nor hashes the full state string.
+	// nor reads the state's term.
 	memo map[memoKey]*closure.Set
 
-	// The state table: ids gives each distinct state key met in this
-	// explorer's explorations a dense id, and states[id] is its record.
-	ids    map[string]uint32
+	// The state table: states[id] is the record of the id-th distinct
+	// state this explorer's explorations minted, and byHash maps a term's
+	// structural hash (syntax.Hash) to the latest id minted with it.
+	byHash map[uint64]uint32
 	states []stateRec
 }
 
-// stateRec is one row of the explorer's state table: a state, its key
-// and, once the state has been stepped, its transitions in Step order
-// with next[i] the id of trans[i].Next. The table steps every state at
-// most once, so every analysis reads a state's transitions from here
-// instead of stepping it again; it caches nothing per trace or per
-// τ-closure, keeping it O(states + transitions).
+// stateRec is one row of the explorer's state table: a state, the next
+// older id whose term has the same hash, and, once the state has been
+// stepped, its transitions in Step order. Stepping records each
+// transition's continuation, not its target: conts[i] builds the target
+// of trans[i], and next[i] is the target's id, or noState until an
+// exploration follows that edge and target mints it. The table steps
+// every state at most once, so every analysis reads a state's
+// transitions from here instead of stepping it again; it caches nothing
+// per trace or per τ-closure, keeping it O(states + transitions).
 type stateRec struct {
 	state   State
-	key     string
+	same    uint32
 	stepped bool
 	trans   []Transition
+	conts   []func(value.V) State
 	next    []uint32
 }
+
+// noState marks an absent id: the end of a same-hash chain, or a target
+// not yet minted.
+const noState = ^uint32(0)
 
 // memoKey identifies one memo entry: a remaining trace-length budget and
 // the table id of the state it was computed from.
@@ -67,39 +77,62 @@ type memoKey struct {
 }
 
 // intern returns the table id of s, adding s to the table if it is new.
-func (x *Explorer) intern(s State) uint32 {
-	key := s.Key()
-	if id, ok := x.ids[key]; ok {
-		return id
+func (x *Explorer) intern(s State) uint32 { return x.internHashed(s, syntax.Hash(s.Proc)) }
+
+// internHashed is intern with the hash of s.Proc supplied: s is compared,
+// by syntax.Equal, with every state of the table that has hash h.
+func (x *Explorer) internHashed(s State, h uint64) uint32 {
+	head, ok := x.byHash[h]
+	if !ok {
+		head = noState
 	}
-	if x.ids == nil {
-		x.ids = map[string]uint32{}
+	for id := head; id != noState; id = x.states[id].same {
+		if syntax.Equal(x.states[id].state.Proc, s.Proc) {
+			return id
+		}
+	}
+	if x.byHash == nil {
+		x.byHash = map[uint64]uint32{}
 	}
 	id := uint32(len(x.states))
-	x.ids[key] = id
-	x.states = append(x.states, stateRec{state: s, key: key})
+	x.byHash[h] = id
+	x.states = append(x.states, stateRec{state: s, same: head})
 	return id
 }
 
-// step returns Step of the state with the given id and the ids of the
-// successors, stepping the state on its first call only. The slices are
-// shared by every caller and must not be modified.
-func (x *Explorer) step(id uint32) ([]Transition, []uint32, error) {
+// step returns the transitions of the state with the given id, stepping
+// the state on its first call only. Their Next fields are unset: target
+// builds and mints a transition's successor. The slice is shared by every
+// caller and must not be modified.
+func (x *Explorer) step(id uint32) ([]Transition, error) {
 	if rec := &x.states[id]; rec.stepped {
-		return rec.trans, rec.next, nil
+		return rec.trans, nil
 	}
-	trans, err := Step(x.states[id].state)
+	trans, conts, err := transitions(x.states[id].state)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	next := make([]uint32, len(trans))
-	for i, tr := range trans {
-		next[i] = x.intern(tr.Next)
+	for i := range next {
+		next[i] = noState
 	}
-	// Index the table afresh: intern may have moved it.
 	rec := &x.states[id]
-	rec.stepped, rec.trans, rec.next = true, trans, next
-	return trans, next, nil
+	rec.stepped, rec.trans, rec.conts, rec.next = true, trans, conts, next
+	return trans, nil
+}
+
+// target returns the table id of the successor along transition i of the
+// stepped state id, building and interning the successor on the first
+// call for that edge.
+func (x *Explorer) target(id uint32, i int) uint32 {
+	rec := &x.states[id]
+	if t := rec.next[i]; t != noState {
+		return t
+	}
+	next := rec.next // intern may move the table, not the row's slices
+	t := x.intern(rec.conts[i](rec.trans[i].Ev.Msg))
+	next[i] = t
+	return t
 }
 
 // DefaultMaxTauStates is the default τ-closure state cap.
@@ -158,7 +191,7 @@ func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closu
 	}
 	branches := []*closure.Set{}
 	for _, r := range reach {
-		trans, next, err := x.step(r)
+		trans, err := x.step(r)
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +199,13 @@ func (x *Explorer) tracesFrom(ctx context.Context, id uint32, depth int) (*closu
 			if tr.Tau {
 				continue // already folded into reach
 			}
-			sub, err := x.tracesFrom(ctx, next[i], depth-1)
-			if err != nil {
-				return nil, err
+			sub := closure.Stop()
+			if depth > 1 {
+				// With no budget left the successor adds nothing, so
+				// only a followed edge mints its target.
+				if sub, err = x.tracesFrom(ctx, x.target(r, i), depth-1); err != nil {
+					return nil, err
+				}
 			}
 			branches = append(branches, closure.Prefix(tr.Ev, sub))
 		}
@@ -195,7 +232,7 @@ func (x *Explorer) tauClosure(dst []uint32, id uint32) ([]uint32, error) {
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
-		trans, next, err := x.step(cur)
+		trans, err := x.step(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -206,15 +243,16 @@ func (x *Explorer) tauClosure(dst []uint32, id uint32) ([]uint32, error) {
 			if seen == nil {
 				seen = map[uint32]bool{id: true}
 			}
-			if seen[next[i]] {
+			next := x.target(cur, i)
+			if seen[next] {
 				continue
 			}
 			if len(out)-base >= limit {
 				return nil, fmt.Errorf("%w: op: τ-closure exceeded %d states; network too internally chatty or diverging", csperr.ErrDepthExceeded, limit)
 			}
-			seen[next[i]] = true
-			out = append(out, next[i])
-			work = append(work, next[i])
+			seen[next] = true
+			out = append(out, next)
+			work = append(work, next)
 		}
 	}
 	return out, nil
@@ -262,7 +300,7 @@ func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 	var menu []Transition
 	seen := map[edge]bool{}
 	for _, id := range ids {
-		trans, next, err := x.step(id)
+		trans, err := x.step(id)
 		if err != nil {
 			return nil, false, err
 		}
@@ -270,8 +308,9 @@ func VisibleEvents(s State, t trace.T) ([]Transition, bool, error) {
 			if tr.Tau {
 				continue
 			}
-			if e := (edge{tr.Ev.ID(), next[i]}); !seen[e] {
+			if e := (edge{tr.Ev.ID(), x.target(id, i)}); !seen[e] {
 				seen[e] = true
+				tr.Next = x.states[e.next].state
 				menu = append(menu, tr)
 			}
 		}

@@ -30,8 +30,10 @@ import (
 
 // State is a configuration of the transition system: a process term plus
 // the environment binding its free variables. Communicated values are
-// substituted into terms, so terms stay closed and states compare by their
-// rendered form.
+// substituted into terms, so terms stay closed and a state is identified
+// by its term: the explorer's table compares terms structurally
+// (syntax.Hash and syntax.Equal), which tells them apart exactly as their
+// renderings do.
 type State struct {
 	Proc syntax.Proc
 	Env  sem.Env
@@ -40,8 +42,10 @@ type State struct {
 // NewState returns the initial state of a process under an environment.
 func NewState(p syntax.Proc, env sem.Env) State { return State{Proc: p, Env: env} }
 
-// Key returns a canonical identity for the state. Terms are closed (input
-// values are substituted in), so the rendered term determines behaviour.
+// Key returns the state's identity rendered as text: the term, which is
+// closed (input values are substituted in) and so determines behaviour.
+// The explorer does not render its keys; Key serves the transition order's
+// tie-break and reference implementations.
 func (s State) Key() string { return s.Proc.String() }
 
 // OfferKind discriminates output offers (one concrete value) from input
@@ -127,55 +131,71 @@ var offerScratch = sync.Pool{New: func() any { s := make([]Offer, 0, 16); return
 // deterministically ordered. Unsynchronised input offers are expanded over
 // their sampled domains here, at the external boundary.
 func Step(s State) ([]Transition, error) {
+	ts, conts, err := transitions(s)
+	if err != nil {
+		return nil, err
+	}
+	for i := range ts {
+		ts[i].Next = conts[i](ts[i].Ev.Msg)
+	}
+	return ts, nil
+}
+
+// transitions returns Step's transitions of s, in Step's order, with Next
+// unset: conts[i] builds the successor of ts[i] from its message.
+func transitions(s State) (ts []Transition, conts []func(value.V) State, err error) {
 	sp := offerScratch.Get().(*[]Offer)
 	defer func() {
 		*sp = (*sp)[:0]
 		offerScratch.Put(sp)
 	}()
 	if err := offers(s.Proc, s.Env, 0, sp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var ts []Transition
+	ts = make([]Transition, 0, len(*sp))
+	conts = make([]func(value.V) State, 0, len(*sp))
 	for _, o := range *sp {
 		switch o.Kind {
 		case OfferOut:
-			ts = append(ts, Transition{
-				Ev:   trace.Event{Chan: o.Ch, Msg: o.Val},
-				Tau:  o.Tau,
-				Next: o.Next(o.Val),
-			})
+			ts = append(ts, Transition{Ev: trace.Event{Chan: o.Ch, Msg: o.Val}, Tau: o.Tau})
+			conts = append(conts, o.next)
 		case OfferIn:
 			for _, v := range o.Dom.Enumerate() {
-				ts = append(ts, Transition{
-					Ev:   trace.Event{Chan: o.Ch, Msg: v},
-					Tau:  o.Tau,
-					Next: o.Next(v),
-				})
+				ts = append(ts, Transition{Ev: trace.Event{Chan: o.Ch, Msg: v}, Tau: o.Tau})
+				conts = append(conts, o.next)
 			}
 		}
 	}
-	sort.Sort(&tsByLabel{ts: ts, keys: make([]string, len(ts))})
-	return ts, nil
+	sort.Sort(&tsByLabel{ts: ts, conts: conts})
+	return ts, conts, nil
 }
 
 // tsByLabel orders transitions visible-first, then by event, then by
 // successor key. The key tiebreak only applies to transitions sharing an
-// event, so keys are rendered lazily and at most once per transition —
-// rendering is the successor term's full text, far too expensive to repeat
-// on every comparison (or to run eagerly for the common all-distinct case).
+// event, so a successor is built and rendered only then, and at most once
+// per transition — rendering is the successor term's full text, far too
+// expensive to repeat on every comparison (or to run eagerly for the
+// common all-distinct case).
 type tsByLabel struct {
-	ts   []Transition
-	keys []string
+	ts    []Transition
+	conts []func(value.V) State
+	keys  []string
 }
 
 func (s *tsByLabel) Len() int { return len(s.ts) }
 func (s *tsByLabel) Swap(i, j int) {
 	s.ts[i], s.ts[j] = s.ts[j], s.ts[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.conts[i], s.conts[j] = s.conts[j], s.conts[i]
+	if s.keys != nil {
+		s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	}
 }
 func (s *tsByLabel) key(i int) string {
+	if s.keys == nil {
+		s.keys = make([]string, len(s.ts))
+	}
 	if s.keys[i] == "" {
-		s.keys[i] = s.ts[i].Next.Key()
+		s.keys[i] = s.conts[i](s.ts[i].Ev.Msg).Key()
 	}
 	return s.keys[i]
 }
@@ -360,10 +380,10 @@ func offersPar(t syntax.Par, env sem.Env, unfolds int, dst *[]Offer) error {
 	// alphabet of a network is fixed at composition time, not per state.
 	alphaL, alphaR := t.AlphaL, t.AlphaR
 	if alphaL == nil {
-		alphaL = itemsOf(x)
+		alphaL = env.ChanItems(x)
 	}
 	if alphaR == nil {
-		alphaR = itemsOf(y)
+		alphaR = env.ChanItems(y)
 	}
 	// Both sides' offers land in dst as adjacent spans; the combined offers
 	// are assembled in a pooled scratch (reading the spans) and then written
@@ -465,16 +485,3 @@ func (d IntersectDomain) Enumerate() []value.V {
 func (d IntersectDomain) IsFinite() bool { return d.A.IsFinite() || d.B.IsFinite() }
 
 func (d IntersectDomain) String() string { return d.A.String() + "∩" + d.B.String() }
-
-func itemsOf(s trace.Set) []syntax.ChanItem {
-	cs := s.Slice()
-	items := make([]syntax.ChanItem, 0, len(cs))
-	for _, c := range cs {
-		if name, sub, ok := c.ArrayName(); ok {
-			items = append(items, syntax.ChanItem{Name: name, Sub: syntax.IntLit{Val: sub}})
-		} else {
-			items = append(items, syntax.ChanItem{Name: string(c)})
-		}
-	}
-	return items
-}

@@ -38,12 +38,20 @@ type Edge struct {
 	To int
 }
 
-// Step returns the transitions of States[i] and the table ids of their
-// targets, read from the explorer's state table: a state is stepped the
-// first time any node, or any other exploration by the same explorer,
-// asks for it. The slices are shared and must not be modified.
-func (n *Node) Step(i int) ([]Transition, []uint32, error) {
+// Step returns the transitions of States[i], read from the explorer's
+// state table: a state is stepped the first time any node, or any other
+// exploration by the same explorer, asks for it. The transitions' Next
+// fields are unset, since the explorer builds a successor only when an
+// exploration follows the edge; Target returns its table id. The slice is
+// shared and must not be modified.
+func (n *Node) Step(i int) ([]Transition, error) {
 	return n.x.step(n.IDs[i])
+}
+
+// Target returns the table id of the successor along transition j of
+// States[i], minting it on first use. Step(i) must have succeeded.
+func (n *Node) Target(i, j int) uint32 {
+	return n.x.target(n.IDs[i], j)
 }
 
 // Walk visits, breadth-first, one Node per distinct τ-closed state list
@@ -137,7 +145,7 @@ func listKey(b []byte, list []uint32) []byte {
 func (x *Explorer) successors(ids []uint32) (evs []trace.Event, seeds [][]uint32, err error) {
 	index := map[trace.EventID]int{}
 	for _, id := range ids {
-		trans, next, err := x.step(id)
+		trans, err := x.step(id)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -153,7 +161,7 @@ func (x *Explorer) successors(ids []uint32) (evs []trace.Event, seeds [][]uint32
 				evs = append(evs, tr.Ev)
 				seeds = append(seeds, nil)
 			}
-			seeds[i] = append(seeds[i], next[j])
+			seeds[i] = append(seeds[i], x.target(id, j))
 		}
 	}
 	return evs, seeds, nil

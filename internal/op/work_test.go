@@ -25,9 +25,16 @@ import (
 // lists, so its failures model must count them all and allocate about
 // what it does at depth 6: a walk over every trace allocates 2.4 million
 // times there, about 2,000 times the bound.
+//
+// The multiplier at nat 3 and depth 4 steps 248 states but has 1,030
+// transitions whose targets an eager table builds and keys: rendering
+// each successor as its key and building the ones no exploration follows
+// allocated 30,361 times; a structural key and successors minted only
+// when followed allocate about 11,600.
 func TestExplorationWorkBounds(t *testing.T) {
 	phil := load(t, "philosophers.csp", 2, "deadlocking")
 	buf2 := load(t, "buffers.csp", 3, "buf2")
+	mult := load(t, "multiplier.csp", 3, "multiplier")
 	const depth = 6
 	for _, c := range []struct {
 		name  string
@@ -44,6 +51,10 @@ func TestExplorationWorkBounds(t *testing.T) {
 		}},
 		{"op.FindDeadlocks", 11_000, func() error {
 			_, err := op.FindDeadlocks(context.Background(), op.NewState(phil.p, phil.env), depth)
+			return err
+		}},
+		{"op.Traces/multiplier-nat-3-depth-4", 16_000, func() error {
+			_, err := op.Traces(mult.p, mult.env, 4)
 			return err
 		}},
 		{"failures.Compute/buf2-depth-12", 1_200, func() error {

@@ -18,7 +18,10 @@ type Event struct {
 	// (proof batch), "check" (assert sweep).
 	Stage string
 	// StatesExpanded counts the distinct transition-system states the
-	// explorer's state table holds (explore stage).
+	// explorer's state table holds (explore stage): the initial state and
+	// every state an exploration followed a transition to. Targets of
+	// transitions it did not follow, such as those past the depth bound,
+	// are never built and not counted.
 	StatesExpanded int
 	// Frontier is always zero: no engine reports a frontier. It stays for
 	// the wire form's "frontier" counter, which schema 1 keeps (DESIGN.md

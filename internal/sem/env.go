@@ -28,23 +28,39 @@ type Env struct {
 	module   *syntax.Module
 	natWidth int
 	vars     *binding
-	chanSets *chanSetCache
+	cache    *envCache
 }
 
-// chanSetCache memoizes EvalChanItems for literal channel lists and
-// EvalSet for binding-independent set expressions, keyed by slice identity
-// (and set name). The op engine stamps every parallel composition in every
-// successor term with its (literal) alphabet items, and copy-on-write
-// substitution preserves the identity of closed subterms, so exploration
-// resolves the same few lists and domains once per state without this
-// cache and once per module with it. The keys' element pointers keep the
-// slices alive, so an address is never recycled under a live entry. All
-// environments derived from one NewEnv share the cache; the cached values
-// evaluate the same under any bindings (and NatWidth, which NAT depends
-// on, is fixed at NewEnv time).
-type chanSetCache struct {
-	m    sync.Map // chanItemsKey → trace.Set
-	doms sync.Map // string (set name) or enumKey → value.Domain
+// envCache memoizes what exploration would otherwise recompute on every
+// state visit. All environments derived from one NewEnv share it; every
+// cached value evaluates the same under any bindings (and NatWidth, which
+// NAT depends on, is fixed at NewEnv time).
+//
+//   - chanItems: EvalChanItems of literal channel lists, keyed by slice
+//     identity. The keys' element pointers keep the slices alive, so an
+//     address is never recycled under a live entry.
+//   - doms: EvalSet of named sets, and of all-literal enumerations keyed
+//     by slice identity.
+//   - items: ChanItems' canonical list for each inferred alphabet, keyed
+//     by the alphabet's trace.ChanSetID.
+//   - insts: Instantiate's body for each process-array instance, keyed by
+//     definition and integer subscript.
+//
+// The op engine stamps every parallel composition in every successor term
+// with its alphabet items, and copy-on-write substitution preserves the
+// identity of closed subterms, so these lists, domains and bodies are
+// resolved once per module instead of once per state. The keys are the
+// module's: its own lists and sets, one canonical list per distinct
+// alphabet of its compositions, and at most one instance per element of
+// each array's finite index domain. So repeated checks of a module's
+// processes leave the cache's size unchanged. A list or enumeration that
+// substituting an input value builds anew is the exception: it is cached
+// per built slice.
+type envCache struct {
+	chanItems sync.Map // chanItemsKey → trace.Set
+	doms      sync.Map // string (set name) or enumKey → value.Domain
+	items     sync.Map // trace.ChanSetID → []syntax.ChanItem
+	insts     sync.Map // instKey → syntax.Proc
 }
 
 type chanItemsKey struct {
@@ -55,6 +71,13 @@ type chanItemsKey struct {
 type enumKey struct {
 	first *syntax.Expr
 	n     int
+}
+
+// instKey identifies one process-array instance: a definition and an
+// integer subscript.
+type instKey struct {
+	def *syntax.Def
+	sub int64
 }
 
 // literalChanItems reports whether every subscript in the list is absent or
@@ -85,7 +108,7 @@ type binding struct {
 // NewEnv returns an environment over the given module. natWidth sets the
 // enumeration width of NAT (0 means value.DefaultNatSample).
 func NewEnv(m *syntax.Module, natWidth int) Env {
-	return Env{module: m, natWidth: natWidth, chanSets: &chanSetCache{}}
+	return Env{module: m, natWidth: natWidth, cache: &envCache{}}
 }
 
 // Module returns the enclosing module.
@@ -207,31 +230,31 @@ func evalArith(op syntax.BinOp, l, r int64) (value.V, error) {
 // cached, since exploration re-evaluates each input's domain on every
 // state visit; domains are immutable, so the cached value is shared.
 func (e Env) EvalSet(s syntax.SetExpr) (value.Domain, error) {
-	if e.chanSets != nil {
+	if e.cache != nil {
 		switch t := s.(type) {
 		case syntax.SetName:
-			if v, ok := e.chanSets.doms.Load(t.Name); ok {
+			if v, ok := e.cache.doms.Load(t.Name); ok {
 				return v.(value.Domain), nil
 			}
 			d, err := e.evalSet(s)
 			if err != nil {
 				return nil, err
 			}
-			e.chanSets.doms.Store(t.Name, d)
+			e.cache.doms.Store(t.Name, d)
 			return d, nil
 		case syntax.EnumSet:
 			if len(t.Elems) == 0 || !literalExprs(t.Elems) {
 				break
 			}
 			key := enumKey{first: &t.Elems[0], n: len(t.Elems)}
-			if v, ok := e.chanSets.doms.Load(key); ok {
+			if v, ok := e.cache.doms.Load(key); ok {
 				return v.(value.Domain), nil
 			}
 			d, err := e.evalSet(s)
 			if err != nil {
 				return nil, err
 			}
-			e.chanSets.doms.Store(key, d)
+			e.cache.doms.Store(key, d)
 			return d, nil
 		}
 	}
@@ -323,11 +346,11 @@ func (e Env) EvalChanRef(c syntax.ChanRef) (trace.Chan, error) {
 // must Clone first (trace.Set's Add methods write through the backing
 // array).
 func (e Env) EvalChanItems(items []syntax.ChanItem) (trace.Set, error) {
-	cacheable := e.chanSets != nil && len(items) > 0 && literalChanItems(items)
+	cacheable := e.cache != nil && len(items) > 0 && literalChanItems(items)
 	var key chanItemsKey
 	if cacheable {
 		key = chanItemsKey{first: &items[0], n: len(items)}
-		if v, ok := e.chanSets.m.Load(key); ok {
+		if v, ok := e.cache.chanItems.Load(key); ok {
 			return v.(trace.Set), nil
 		}
 	}
@@ -336,7 +359,7 @@ func (e Env) EvalChanItems(items []syntax.ChanItem) (trace.Set, error) {
 		return out, err
 	}
 	if cacheable {
-		e.chanSets.m.Store(key, out)
+		e.cache.chanItems.Store(key, out)
 	}
 	return out, nil
 }
@@ -375,7 +398,9 @@ func (e Env) evalChanItems(items []syntax.ChanItem) (trace.Set, error) {
 
 // Instantiate resolves a process reference to the body of its definition
 // with the array parameter (if any) substituted by its evaluated value, the
-// paper's §1.2(3). It returns the instantiated body.
+// paper's §1.2(3). It returns the instantiated body: for an integer
+// subscript of an array with a finite index domain, the same term on every
+// call through environments of one NewEnv.
 func (e Env) Instantiate(r syntax.Ref) (syntax.Proc, error) {
 	def, ok := e.module.Lookup(r.Name)
 	if !ok {
@@ -389,6 +414,13 @@ func (e Env) Instantiate(r syntax.Ref) (syntax.Proc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sem: instantiating %s: %w", r, err)
 		}
+		var key instKey
+		if e.cache != nil && v.Kind() == value.KindInt {
+			key = instKey{def: def, sub: v.AsInt()}
+			if body, ok := e.cache.insts.Load(key); ok {
+				return body.(syntax.Proc), nil
+			}
+		}
 		dom, err := e.EvalSet(def.ParamDom)
 		if err != nil {
 			return nil, err
@@ -396,12 +428,47 @@ func (e Env) Instantiate(r syntax.Ref) (syntax.Proc, error) {
 		if !dom.Contains(v) {
 			return nil, fmt.Errorf("sem: subscript %v of %s outside its range %s", v, r.Name, dom)
 		}
-		return syntax.SubstProc(def.Body, def.Param, valueToExpr(v)), nil
+		body := syntax.SubstProc(def.Body, def.Param, valueToExpr(v))
+		if key.def != nil && dom.IsFinite() {
+			shared, _ := e.cache.insts.LoadOrStore(key, body)
+			return shared.(syntax.Proc), nil
+		}
+		return body, nil
 	}
 	if r.Sub != nil {
 		return nil, fmt.Errorf("sem: process %q is not an array but used with subscript", r.Name)
 	}
 	return def.Body, nil
+}
+
+// ChanItems returns a literal channel list denoting s, in s.Slice order:
+// plain channels by name, array elements by name and integer subscript.
+// Environments of one NewEnv return the same slice for the same
+// membership, so caches keyed by a list's identity hold one entry per
+// alphabet. The slice is shared and must not be modified.
+func (e Env) ChanItems(s trace.Set) []syntax.ChanItem {
+	if e.cache == nil {
+		return itemsOf(s)
+	}
+	id := s.ID()
+	if v, ok := e.cache.items.Load(id); ok {
+		return v.([]syntax.ChanItem)
+	}
+	v, _ := e.cache.items.LoadOrStore(id, itemsOf(s))
+	return v.([]syntax.ChanItem)
+}
+
+func itemsOf(s trace.Set) []syntax.ChanItem {
+	cs := s.Slice()
+	items := make([]syntax.ChanItem, 0, len(cs))
+	for _, c := range cs {
+		if name, sub, ok := c.ArrayName(); ok {
+			items = append(items, syntax.ChanItem{Name: name, Sub: syntax.IntLit{Val: sub}})
+		} else {
+			items = append(items, syntax.ChanItem{Name: string(c)})
+		}
+	}
+	return items
 }
 
 // ValueToExpr turns an evaluated value back into a literal expression, for

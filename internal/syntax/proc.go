@@ -93,11 +93,11 @@ func (Par) procNode()     {}
 func (Hiding) procNode()  {}
 
 // The String methods render through one shared pooled buffer rather than
-// by concatenation: a rendered term is the op engine's state identity, so
-// exploration renders terms constantly, and per-level concatenation made
-// that quadratic in term depth — dominated by parallel networks whose
-// every composition node carries its full alphabet annotation. The only
-// per-render allocation is the final string copy.
+// by concatenation: per-level concatenation is quadratic in term depth —
+// dominated by parallel networks whose every composition node carries its
+// full alphabet annotation — and successor terms are rendered to break
+// ties in the op engine's transition order. The only per-render
+// allocation is the final string copy.
 
 func (p Stop) String() string    { return render(p) }
 func (p Ref) String() string     { return render(p) }

@@ -223,3 +223,46 @@ func TestSymbolStatsMonotonic(t *testing.T) {
 		t.Fatal("symbol counters decreased; tables must be append-only")
 	}
 }
+
+// TestSubCanonical pins Sub's cache: a warm call allocates nothing, every
+// goroutine gets the same channel, and each cached entry is a channel of
+// the symbol table, so the cache grows no faster than the table.
+func TestSubCanonical(t *testing.T) {
+	if got := Sub("subtest_col", 2); got != "subtest_col[2]" {
+		t.Fatalf("Sub = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { Sub("subtest_col", 2) }); n != 0 {
+		t.Errorf("warm Sub allocates %v times, want 0", n)
+	}
+	const goroutines, subs = 8, 50
+	results := make([][]Chan, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(0); i < subs; i++ {
+				results[g] = append(results[g], Sub("subtest_conc", i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range results {
+		for i, c := range results[g] {
+			if want := fmt.Sprintf("subtest_conc[%d]", i); c != Chan(want) {
+				t.Fatalf("goroutine %d: Sub(subtest_conc, %d) = %q", g, i, c)
+			}
+		}
+	}
+	entries := 0
+	subChans.Range(func(_, v any) bool {
+		entries++
+		if _, ok := LookupChan(v.(Chan)); !ok {
+			t.Errorf("cached %q is not in the symbol table", v)
+		}
+		return true
+	})
+	if entries > NumChans() {
+		t.Errorf("%d cached subscripted channels, %d channels in the symbol table", entries, NumChans())
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cspsat/internal/value"
 )
@@ -29,8 +30,28 @@ type Chan string
 const TauChan Chan = "τ"
 
 // Sub renders the subscripted channel name c[i], e.g. Sub("col", 2) = "col[2]".
+// Every call for the same name and subscript returns one canonical string,
+// and a repeat call allocates nothing. Sub interns the channel, so its
+// cache holds one entry per channel of the symbol table (sym.go) and
+// grows no faster than that table.
 func Sub(name string, i int64) Chan {
-	return Chan(name + "[" + strconv.FormatInt(i, 10) + "]")
+	if c, ok := subChans.Load(subKey{name, i}); ok {
+		return c.(Chan)
+	}
+	c := Chan(name + "[" + strconv.FormatInt(i, 10) + "]")
+	c.ID()
+	// Key by the channel's own prefix, so the cache keeps no caller's
+	// string alive.
+	shared, _ := subChans.LoadOrStore(subKey{string(c[:len(name)]), i}, c)
+	return shared.(Chan)
+}
+
+// subChans maps a subKey to Sub's canonical channel.
+var subChans sync.Map
+
+type subKey struct {
+	name string
+	i    int64
 }
 
 // ArrayName splits a channel identity into its array name and subscript.
