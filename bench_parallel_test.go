@@ -25,6 +25,8 @@ import (
 
 	"cspsat/internal/closure"
 	"cspsat/internal/gen"
+	"cspsat/internal/trace"
+	"cspsat/internal/value"
 	"cspsat/pkg/csp"
 )
 
@@ -129,4 +131,40 @@ func BenchmarkE14ParallelFixpoint(b *testing.B) {
 			benchTraces(b, mod, p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: depth}, w.gc)
 		})
 	}
+}
+
+// BenchmarkClosureContended builds the trie of internal/partests'
+// TestShardHammer on every goroutine b.RunParallel starts, over tables one
+// build has warmed, so each iteration is nothing but intern, memo and
+// symbol-table lock traffic: 15 Prefix interns, 15 event lookups and 5
+// UnionAll memo hits. It is where one lock per table would cost if
+// concurrent requests contended on it.
+func BenchmarkClosureContended(b *testing.B) {
+	evs := []trace.Event{
+		{Chan: "a", Msg: value.Int(0)},
+		{Chan: "b", Msg: value.Int(1)},
+		{Chan: "c", Msg: value.Int(2)},
+	}
+	build := func() *closure.Set {
+		s := closure.Stop()
+		for d := 0; d < 5; d++ {
+			branches := make([]*closure.Set, 0, len(evs))
+			for _, ev := range evs {
+				branches = append(branches, closure.Prefix(ev, s))
+			}
+			s = closure.UnionAll(branches...)
+		}
+		return s
+	}
+	want := build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if !build().Same(want) {
+				b.Error("a warm build minted a different canonical node")
+				return
+			}
+		}
+	})
 }

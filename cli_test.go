@@ -157,15 +157,10 @@ func TestCLITools(t *testing.T) {
 		if code != 0 || !strings.Contains(out, "<input.0, wire.0>") {
 			t.Fatalf("code=%d\n%s", code, out)
 		}
-		out, code = run(t, bin("csptrace"), "", "-den", "-depth", "3", "specs/copier.csp", "copier")
-		if code != 0 || !strings.Contains(out, "approximation chain stabilised") {
-			t.Fatalf("denotational: code=%d\n%s", code, out)
-		}
 		out, code = run(t, bin("csptrace"), "", "-dot", "-depth", "3", "specs/copier.csp", "copysys")
 		if code != 0 || !strings.Contains(out, "digraph lts") {
 			t.Fatalf("dot: code=%d\n%s", code, out)
 		}
-		// -engine denote is the uniform spelling of the deprecated -den.
 		out, code = run(t, bin("csptrace"), "", "-engine", "denote", "-depth", "3", "specs/copier.csp", "copier")
 		if code != 0 || !strings.Contains(out, "approximation chain stabilised") {
 			t.Fatalf("-engine denote: code=%d\n%s", code, out)

@@ -23,7 +23,7 @@
 // -stats a closure-cache report on exit. SIGINT/SIGTERM starts a graceful
 // drain: new requests are refused with 503 while in-flight checks finish,
 // up to -drain, after which the engines are hard-canceled (the intern
-// shards stay valid under cancellation, so a forced abort loses only the
+// tables stay valid under cancellation, so a forced abort loses only the
 // aborted requests' work).
 //
 // With -journal DIR every deterministic /v1/* request is appended to a

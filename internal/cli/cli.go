@@ -5,7 +5,7 @@
 //	-timeout D   cancel the run's context after D (0 = no limit)
 //	-workers N   check asserts and proof obligations on N goroutines, one
 //	             item per claim, or "auto" for one goroutine per CPU
-//	-stats       print closure cache/shard statistics after the run
+//	-stats       print closure cache statistics after the run
 //
 // and offers the two uniform verification selectors for tools that opt in
 // (ModelFlag / EngineFlag):
@@ -13,8 +13,8 @@
 //	-model M     semantic model for verdicts: traces (default) or failures
 //	-engine E    trace engine: op (default), denote, or runtime
 //
-// Older per-binary spellings (csptrace -den, cspcheck -deadlocks) keep
-// working but are deprecated in favour of this pair.
+// The older cspcheck -deadlocks spelling keeps working but is deprecated
+// in favour of this pair.
 //
 // plus the usage text, argument-count checking (exit 2, matching the
 // documented contract of every tool), and the "tool: error" reporting
@@ -84,7 +84,7 @@ func New(tool, usage string) *App {
 	a.Workers = 1
 	flag.Var(workersValue{&a.Workers}, "workers",
 		"goroutines sharing a run's asserts and proof obligations: a count (<= 1 runs serially) or auto (one per CPU); each trace exploration runs on one goroutine")
-	flag.BoolVar(&a.Stats, "stats", false, "print closure cache/shard statistics to stderr after the run")
+	flag.BoolVar(&a.Stats, "stats", false, "print closure cache statistics to stderr after the run")
 	return a
 }
 
@@ -175,8 +175,8 @@ func (a *App) Parse(nargs int) []string {
 
 // Context returns the run context honouring -timeout and the process
 // signals: Ctrl-C (SIGINT) and SIGTERM cancel it, so engines unwind
-// promptly through their usual cancellation paths (interned shards stay
-// valid — see csperr.ErrCanceled) instead of the process dying mid-run.
+// promptly through their usual cancellation paths (the intern tables
+// stay valid — see csperr.ErrCanceled) instead of the process dying mid-run.
 // The caller should defer cancel.
 //
 // The two ways the context can die carry distinct causes, so the error an
@@ -289,13 +289,12 @@ func (a *App) Finish() {
 }
 
 // WriteStats reports the closure layer's interning and memoisation
-// effectiveness over the whole run: canonical trie nodes interned across
-// the lock-striped shards, and how often the operator memo tables answered
-// instead of recomputing.
+// effectiveness over the whole run: canonical trie nodes interned, and how
+// often the operator memo tables answered instead of recomputing.
 func WriteStats(w io.Writer) {
 	s := csp.Stats()
-	fmt.Fprintf(w, "\nclosure caches: %d interned nodes across %d shards (%d hits / %d misses, %d evicted in %d rotations)\n",
-		s.InternedNodes, s.Shards, s.InternHits, s.InternMisses, s.Evicted, s.Rotations)
+	fmt.Fprintf(w, "\nclosure caches: %d interned nodes (%d hits / %d misses, %d evicted in %d rotations)\n",
+		s.InternedNodes, s.InternHits, s.InternMisses, s.Evicted, s.Rotations)
 	total := s.MemoHits + s.MemoMisses
 	rate := 0.0
 	if total > 0 {

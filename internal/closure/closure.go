@@ -24,6 +24,7 @@ package closure
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -48,7 +49,8 @@ func Stop() *Set { return emptyNode.wrap() }
 // intern table allocates nothing at all — no string key, no edge list,
 // and the *Set wrapper comes from the node's cache.
 func Prefix(a trace.Event, p *Set) *Set {
-	return internPrefix(a.ID(), a, p.root).wrap()
+	one := [1]edge{{id: a.ID(), ev: a, child: p.root}}
+	return internCopy(one[:]).wrap()
 }
 
 // Union returns P ∪ Q, the denotation of the alternative (P | Q). Subtrees
@@ -118,7 +120,7 @@ func unionAllNodes(ns []*node) *node {
 	case 2:
 		return unionNodes(ns[0], ns[1])
 	}
-	k := nodeListKey{ids: packNodeIDs(ns)}
+	k := packNodeIDs(ns)
 	if v, ok := unionAllMemo.get(k); ok {
 		return v
 	}
@@ -294,43 +296,7 @@ func ignoreNode(src *node, chatter []edge, alpha trace.EventSetID, budget int) *
 // so the same (P-state, Q-state) product is computed once ever per
 // alphabet pair, within and across Parallel calls.
 func Parallel(p, q *Set, x, y trace.Set) *Set {
-	return parallelNodes(p.root, q.root, x, y, x.ID(), y.ID()).wrap()
-}
-
-func parallelNodes(a, b *node, x, y trace.Set, xid, yid trace.ChanSetID) *node {
-	if len(a.edges) == 0 && len(b.edges) == 0 {
-		return emptyNode
-	}
-	mk := parKey{a: a, b: b, x: xid, y: yid}
-	if v, ok := parallelMemo.get(mk); ok {
-		return v
-	}
-	var out []edge
-	for _, e := range a.edges {
-		// When P communicates outside its own alphabet X the paper's
-		// composition is not defined; treat the event as private to P (X is
-		// extended implicitly), exactly as the pre-interning walk did.
-		if y.ContainsID(trace.EventChanID(e.id)) {
-			// Shared channel: requires Q to offer the same event.
-			be, ok := b.get(e.id)
-			if !ok {
-				continue
-			}
-			out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(e.child, be.child, x, y, xid, yid)})
-		} else {
-			// Private to P.
-			out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(e.child, b, x, y, xid, yid)})
-		}
-	}
-	for _, e := range b.edges {
-		if x.ContainsID(trace.EventChanID(e.id)) {
-			continue // shared (or P-side) events handled above
-		}
-		out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(a, e.child, x, y, xid, yid)})
-	}
-	n := intern(sortEdges(out))
-	parallelMemo.put(mk, n)
-	return n
+	return parallelNodes(p.root, q.root, x, y, x.ID(), y.ID(), math.MaxInt).wrap()
 }
 
 // ParallelTo returns Parallel(p, q, x, y).TruncateTo(budget) without ever
@@ -344,31 +310,34 @@ func parallelNodes(a, b *node, x, y trace.Set, xid, yid trace.ChanSetID) *node {
 // truncation of the full product, and the result interns to the very same
 // canonical node.
 func ParallelTo(p, q *Set, x, y trace.Set, budget int) *Set {
-	return parallelBounded(p.root, q.root, x, y, x.ID(), y.ID(), budget).wrap()
+	return parallelNodes(p.root, q.root, x, y, x.ID(), y.ID(), budget).wrap()
 }
 
-func parallelBounded(a, b *node, x, y trace.Set, xid, yid trace.ChanSetID, budget int) *node {
+// fitsBudget stands for the budget in the memo key of a product whose
+// height fits its budget: the bound cannot bind anywhere below it, so one
+// entry serves Parallel and every sufficient ParallelTo budget.
+const fitsBudget = -1
+
+func parallelNodes(a, b *node, x, y trace.Set, xid, yid trace.ChanSetID, budget int) *node {
 	if len(a.edges) == 0 && len(b.edges) == 0 {
 		return emptyNode
 	}
 	if budget <= 0 {
 		return emptyNode
 	}
-	if a.height+b.height <= budget {
-		// The bound cannot bind anywhere below here; the unbounded memo
-		// shares this subproduct across all sufficient budgets.
-		return parallelNodes(a, b, x, y, xid, yid)
-	}
 	// The shallow fringe — bounded products at budgets 1 and 2 — holds most
-	// of the walk's distinct (a, b, budget) triples but each is a near-flat
-	// edge merge, cheaper to recompute than to table: a memo entry there
-	// costs more map allocation than the walk it saves, and the fixpoint
-	// chain's GC bill tracks exactly that allocation.
-	memoize := budget > 2
-	var mk parBoundKey
+	// of a bounded walk's distinct (a, b, budget) triples but each is a
+	// near-flat edge merge, cheaper to recompute than to table: a memo entry
+	// there costs more map allocation than the walk it saves, and the
+	// fixpoint chain's GC bill tracks exactly that allocation.
+	mk := parKey{a: a, b: b, x: xid, y: yid, i: fitsBudget}
+	memoize := true
+	if a.height+b.height > budget {
+		mk.i = int32(budget)
+		memoize = budget > 2
+	}
 	if memoize {
-		mk = parBoundKey{a: a, b: b, x: xid, y: yid, i: int32(budget)}
-		if v, ok := parBoundMemo.get(mk); ok {
+		if v, ok := parallelMemo.get(mk); ok {
 			return v
 		}
 	}
@@ -380,34 +349,39 @@ func parallelBounded(a, b *node, x, y trace.Set, xid, yid trace.ChanSetID, budge
 	sp := edgeScratch.Get().(*[]edge)
 	out := (*sp)[:0]
 	for _, e := range a.edges {
+		// When P communicates outside its own alphabet X the paper's
+		// composition is not defined; treat the event as private to P (X is
+		// extended implicitly), exactly as the pre-interning walk did.
 		if y.ContainsID(trace.EventChanID(e.id)) {
+			// Shared channel: requires Q to offer the same event.
 			be, ok := b.get(e.id)
 			if !ok {
 				continue
 			}
-			out = append(out, edge{id: e.id, ev: e.ev, child: parallelBounded(e.child, be.child, x, y, xid, yid, budget-1)})
+			out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(e.child, be.child, x, y, xid, yid, budget-1)})
 		} else {
-			out = append(out, edge{id: e.id, ev: e.ev, child: parallelBounded(e.child, b, x, y, xid, yid, budget-1)})
+			// Private to P.
+			out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(e.child, b, x, y, xid, yid, budget-1)})
 		}
 	}
 	for _, e := range b.edges {
 		if x.ContainsID(trace.EventChanID(e.id)) {
-			continue
+			continue // shared (or P-side) events handled above
 		}
-		out = append(out, edge{id: e.id, ev: e.ev, child: parallelBounded(a, e.child, x, y, xid, yid, budget-1)})
+		out = append(out, edge{id: e.id, ev: e.ev, child: parallelNodes(a, e.child, x, y, xid, yid, budget-1)})
 	}
 	n := internCopy(sortEdges(out))
 	*sp = out[:0]
 	edgeScratch.Put(sp)
 	if memoize {
-		parBoundMemo.put(mk, n)
+		parallelMemo.put(mk, n)
 	}
 	return n
 }
 
-// edgeScratch pools edge buffers for the bounded product walk. Each frame
-// checks one out for the duration of its own edge list only (child frames
-// draw their own), so buffers never alias across the recursion.
+// edgeScratch pools edge buffers for the product walk. Each frame checks
+// one out for the duration of its own edge list only (child frames draw
+// their own), so buffers never alias across the recursion.
 var edgeScratch = sync.Pool{New: func() any { s := make([]edge, 0, 16); return &s }}
 
 // Intersect returns P ∩ Q. Prefix closures are closed under intersection

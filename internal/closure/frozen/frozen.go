@@ -36,20 +36,15 @@
 // tables, the same property the store codec's Decode has. The only
 // intern-table contact is *binding* — resolving the arena's local event
 // indices to the live process's dense trace.EventIDs — which happens
-// lazily, once, on the first Contains or WalkDFS of an already-validated
-// arena (it interns event symbols exactly as loading the module source
-// would, and never touches the trie interner).
+// lazily, once, on the first Contains of an already-validated arena (it
+// interns event symbols exactly as loading the module source would, and
+// never touches the trie interner).
 //
 // Per-node edges are stored sorted by local event index, and membership
 // probes binary-search that order directly. Listings walk each node's
 // edges in trace.Event.Compare order of the decoded events (WalkSorted),
-// which needs no binding at all. Only Contains and WalkDFS bind: WalkDFS
-// must visit edges in *live* event-id order to match Set.WalkDFS on a
-// rebuilt interned set. When binding finds the local order already
-// monotone in live ids — the common case for a process that boots from
-// the store before computing anything — WalkDFS reads the edge rows as
-// they lie; otherwise binding materialises one permutation over the edge
-// table and WalkDFS reads through it.
+// which needs no binding at all, so Contains is the only traversal that
+// binds.
 package frozen
 
 import (
@@ -58,7 +53,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -104,9 +98,7 @@ type Arena struct {
 	events []trace.Event
 
 	bindOnce sync.Once
-	ids      []trace.EventID          // local event index → live id
 	byID     map[trace.EventID]uint32 // live id → local event index
-	order    []uint32                 // edge-table permutation, nil when local order is live order
 
 	thawOnce sync.Once
 	thawed   []*closure.Set
@@ -325,56 +317,11 @@ func (a *Arena) Close() {
 func (a *Arena) bind() {
 	a.bindOnce.Do(func() {
 		binds.Add(1)
-		a.ids = make([]trace.EventID, len(a.events))
 		a.byID = make(map[trace.EventID]uint32, len(a.events))
 		for i, ev := range a.events {
-			id := ev.ID()
-			a.ids[i] = id
-			a.byID[id] = uint32(i)
+			a.byID[ev.ID()] = uint32(i)
 		}
-		// Live traversal order: per node, ascending live id. If the local
-		// storage order already agrees — it does whenever this process
-		// first met these events through this arena — traversal reads the
-		// edge rows directly and the permutation is never built.
-		sorted := true
-		for i := 1; i < a.nNodes && sorted; i++ {
-			lo, hi := int(a.edgeStart(i)), int(a.edgeStart(i+1))
-			for j := lo + 1; j < hi; j++ {
-				evPrev, _ := a.edgeAt(j - 1)
-				ev, _ := a.edgeAt(j)
-				if a.ids[ev] < a.ids[evPrev] {
-					sorted = false
-					break
-				}
-			}
-		}
-		if sorted {
-			return
-		}
-		order := make([]uint32, a.nEdges)
-		for j := range order {
-			order[j] = uint32(j)
-		}
-		for i := 1; i < a.nNodes; i++ {
-			lo, hi := int(a.edgeStart(i)), int(a.edgeStart(i+1))
-			seg := order[lo:hi]
-			sort.Slice(seg, func(x, y int) bool {
-				ex, _ := a.edgeAt(int(seg[x]))
-				ey, _ := a.edgeAt(int(seg[y]))
-				return a.ids[ex] < a.ids[ey]
-			})
-		}
-		a.order = order
 	})
-}
-
-// liveEdge returns the pos-th edge of the node range [lo,hi) in live
-// event-id traversal order.
-func (a *Arena) liveEdge(pos int) (event, child uint32) {
-	if a.order != nil {
-		pos = int(a.order[pos])
-	}
-	return a.edgeAt(pos)
 }
 
 // Thaw rebuilds every node into a canonical interned *closure.Set,
@@ -547,37 +494,6 @@ func (w *sortedWalk) event(row int) trace.Event {
 	return w.a.events[ev]
 }
 
-// WalkDFS mirrors Set.WalkDFS on the frozen graph, visiting edges in live
-// event-id order.
-func (v *NodeView) WalkDFS(visit func(path trace.T) bool, push, pop func(ev trace.Event)) bool {
-	v.a.bind()
-	var path trace.T
-	var walk func(n int) bool
-	walk = func(n int) bool {
-		if !visit(path) {
-			return false
-		}
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
-			evIdx, child := v.a.liveEdge(j)
-			ev := v.a.events[evIdx]
-			if push != nil {
-				push(ev)
-			}
-			path = append(path, ev)
-			ok := walk(int(child))
-			path = path[:len(path)-1]
-			if pop != nil {
-				pop(ev)
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	return walk(int(v.idx))
-}
-
 // Thaw rebuilds the whole arena through the interner (once, cached) and
 // returns this node's canonical set.
 func (v *NodeView) Thaw() *closure.Set { return v.a.Thaw()[v.idx] }
@@ -605,7 +521,7 @@ type Stats struct {
 	ArenasOpened int64 `json:"arenas_opened"`
 	ArenaBytes   int64 `json:"arena_bytes"`
 	// Binds counts lazy event-id bindings (≤ ArenasOpened; an arena whose
-	// views only list, and never answer Contains or WalkDFS, never binds).
+	// views only list, and never answer Contains, never binds).
 	Binds int64 `json:"binds"`
 	// Hits counts read queries served from frozen views without a thaw.
 	Hits int64 `json:"hits"`

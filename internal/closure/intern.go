@@ -16,23 +16,16 @@ package closure
 // equal construction may mint a fresh pointer, so Equal falls back to a
 // structural walk when the pointer test fails.
 //
-// Both the intern table and the memo tables are lock-striped across
-// NumShards shards so concurrent requests and the parallel engines (sem's
-// concurrent approximation chains, assert sweeps, proof batching) do not
-// serialize on one package mutex. The stripe is a pure function of the
-// key's hash — the node hash for interning, a derived key hash for memos —
-// so every distinct edge list maps to exactly one shard and
-// pointer-canonicality remains global, not merely per-shard: two
-// goroutines interning the same edge list land on the same shard mutex and
-// one of them wins. Locks are taken only
-// inside the short leaf helpers in this file (never while calling back into
-// operator code), so lock ordering is trivially acyclic and the package is
-// safe for concurrent use.
-//
-// Cross-shard publication is safe by happens-before transitivity: a parent
-// node's edge list is built over already-interned children, and any reader
-// that obtains the parent does so under the parent's shard mutex, which the
-// interning goroutine released only after the children were fully written.
+// The intern table and each memo table sit under one mutex of their own.
+// Concurrent requests share them, and so do the workers of a CheckAll
+// sweep or proof batch. One lock per table keeps pointer-canonicality
+// global: two goroutines interning the same edge list take the same mutex
+// and one of them wins. Locks are taken only inside the short leaf helpers
+// in this file, never while calling back into operator code and never
+// nested, so lock ordering is trivially acyclic and the package is safe
+// for concurrent use. A node's children are interned before it under the
+// same mutex, so any goroutine that obtains a node through the table also
+// sees its children fully written.
 
 import (
 	"cmp"
@@ -104,13 +97,6 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-func hashBytes(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
-}
-
 func hashUint(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (v & 0xff)) * fnvPrime
@@ -128,28 +114,13 @@ func hashEdges(edges []edge) uint64 {
 	return h
 }
 
-// NumShards is the number of lock stripes the intern and memo tables are
-// split across. It is a power of two; the stripe for a key is a pure
-// function of the key's hash, which is what keeps canonicality global (see
-// the package comment). 32 stripes keeps contention negligible up to the
-// worker counts the engines use while costing only a few KB of mutexes.
-const NumShards = 32
-
-const shardMask = NumShards - 1
-
-// shardIndex folds the high bits of an FNV hash into the stripe index so
-// keys that differ only above the mask still spread.
-func shardIndex(h uint64) int {
-	return int((h ^ (h >> 16) ^ (h >> 32)) & shardMask)
-}
-
 // gen2 is a two-generation bounded table. Inserts go to the current
 // generation; when it fills, the previous generation is dropped and the
 // current one takes its place. A lookup that hits the previous generation
 // promotes the entry, so the working set survives rotation and only cold
 // entries age out. The scheme bounds retained entries to 2×limit with O(1)
 // amortized maintenance (no LRU list, no per-entry clocks). A gen2 is not
-// itself synchronized; its owning shard's mutex guards it.
+// itself synchronized; its owning table's mutex guards it.
 type gen2[K comparable, V any] struct {
 	cur, old map[K]V
 	limit    int
@@ -194,9 +165,9 @@ func (g *gen2[K, V]) promote(k K, v V) {
 
 func (g *gen2[K, V]) reset() {
 	// Keep already-empty generations: a reset sweep touches every memo
-	// table across every stripe, and most of them are empty in any given
-	// workload — re-making ~2×NumShards maps per table would dominate the
-	// allocation profile of ResetCaches-per-iteration callers.
+	// table, and most of them are empty in any given workload — re-making
+	// two maps per table would dominate the allocation profile of
+	// ResetCaches-per-iteration callers.
 	if len(g.cur) > 0 {
 		g.cur = make(map[K]V)
 	}
@@ -206,63 +177,29 @@ func (g *gen2[K, V]) reset() {
 	g.hits, g.misses, g.evicted, g.rotated = 0, 0, 0, 0
 }
 
-// Default total entry budgets (split evenly across the stripes). A node is
-// ~5 words plus its edge list, so the intern default bounds canonical-node
-// retention to a few hundred MB in the worst case and far less in practice;
-// memo entries are a key plus a pointer. Both are adjustable via
-// SetCacheBudget.
+// Default entry budgets of the intern table and of each memo table. A node
+// is ~5 words plus its edge list, so the intern default bounds
+// canonical-node retention to a few hundred MB in the worst case and far
+// less in practice; memo entries are a key plus a pointer. Both are
+// adjustable via SetCacheBudget.
 const (
 	defaultInternBudget = 1 << 18
 	defaultMemoBudget   = 1 << 18
 )
 
-// perShardLimit splits a total entry budget across the stripes, rounding up
-// so no stripe gets a zero (degenerate) generation.
-func perShardLimit(total int) int {
-	per := (total + NumShards - 1) / NumShards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// internShard is one stripe of the intern table: a bucket map from node
-// hash to the canonical nodes with that hash, plus this stripe's share of
-// the hit/miss counters.
-type internShard struct {
-	mu     sync.Mutex
-	tab    *gen2[uint64, []*node]
-	hits   uint64
-	misses uint64
-}
-
-var (
-	internShards [NumShards]internShard
-	nextNodeID   atomic.Uint64 // 0 is emptyNode
-)
-
-func init() {
-	per := perShardLimit(defaultInternBudget)
-	for i := range internShards {
-		internShards[i].tab = newGen2[uint64, []*node](per)
-	}
-}
-
-// shardKey is the constraint on memo keys: comparable (map key) and able to
-// name its stripe. The stripe hash folds in the node creation ids rather
-// than the node hashes so distinct nodes with colliding hashes still spread.
-type shardKey interface {
-	comparable
-	shardHash() uint64
-}
+// internTab is the intern table: a bucket map from node hash to the
+// canonical nodes with that hash, its hit/miss counters, and the last
+// creation index handed out (0 is emptyNode's), all under one mutex.
+var internTab = struct {
+	mu           sync.Mutex
+	buckets      *gen2[uint64, []*node]
+	hits, misses uint64
+	lastID       uint64
+}{buckets: newGen2[uint64, []*node](defaultInternBudget)}
 
 // nodePair keys the symmetric binary memos (union, intersect, subset);
 // callers canonicalise the order by node id before lookup.
 type nodePair struct{ a, b *node }
-
-func (k nodePair) shardHash() uint64 {
-	return hashUint(hashUint(fnvOffset, k.a.id), k.b.id)
-}
 
 // hideKey keys the hide memo: the node plus the interned identity of the
 // hidden channel set — a pointer and a uint32, no string materialisation.
@@ -271,17 +208,9 @@ type hideKey struct {
 	c trace.ChanSetID
 }
 
-func (k hideKey) shardHash() uint64 {
-	return hashUint(hashUint(fnvOffset, k.n.id), uint64(k.c))
-}
-
 type nodeIntKey struct {
 	n *node
 	i int
-}
-
-func (k nodeIntKey) shardHash() uint64 {
-	return hashUint(hashUint(fnvOffset, k.n.id), uint64(k.i))
 }
 
 // ignoreKey keys the ignore memo: node, interned chatter-alphabet identity,
@@ -292,130 +221,85 @@ type ignoreKey struct {
 	i     int32
 }
 
-func (k ignoreKey) shardHash() uint64 {
-	return hashUint(hashUint(hashUint(fnvOffset, k.n.id), uint64(k.alpha)), uint64(uint32(k.i)))
-}
-
-// parKey keys the parallel memo on the node pair and the interned
-// identities of the two alphabets.
+// parKey keys the parallel memo on the node pair, the interned identities
+// of the two alphabets, and the remaining budget — or fitsBudget when the
+// product's height fits every budget it is asked for, so the entry serves
+// them all.
 type parKey struct {
-	a, b *node
-	x, y trace.ChanSetID
-}
-
-func (k parKey) shardHash() uint64 {
-	h := hashUint(hashUint(fnvOffset, k.a.id), k.b.id)
-	return hashUint(h, uint64(k.x)<<32|uint64(k.y))
-}
-
-// parBoundKey keys the budget-bounded parallel memo. The budget only joins
-// the key when the bound can actually bind (a.height+b.height > budget);
-// shallower products fall through to the unbounded parallelMemo, which
-// shares entries across budgets.
-type parBoundKey struct {
 	a, b *node
 	x, y trace.ChanSetID
 	i    int32
 }
 
-func (k parBoundKey) shardHash() uint64 {
-	h := hashUint(hashUint(fnvOffset, k.a.id), k.b.id)
-	h = hashUint(h, uint64(k.x)<<32|uint64(k.y))
-	return hashUint(h, uint64(uint32(k.i)))
+// memo is one operator's memo table: a gen2 under one mutex. V is *node
+// for the operator memos and bool for the subset-verdict memo.
+type memo[K comparable, V any] struct {
+	name string
+	mu   sync.Mutex
+	tab  *gen2[K, V]
 }
 
-// nodeListKey keys the k-way UnionAll memo: the packed creation ids of the
-// (sorted, deduplicated) operand nodes. Node ids are never reused, so the
-// key stays unambiguous across cache evictions.
-type nodeListKey struct {
-	ids string
+// memoTable is what Stats, ResetCaches and SetCacheBudget need of a memo,
+// whatever its key and value types.
+type memoTable interface {
+	counters() (name string, hits, misses uint64)
+	reset()
+	setLimit(entries int)
 }
 
-func (k nodeListKey) shardHash() uint64 {
-	return hashBytes(fnvOffset, k.ids)
-}
+// memos lists every memo table newMemo made.
+var memos []memoTable
 
-// stripedMemo is a lock-striped memo table: NumShards independently locked
-// gen2 generations, stripe chosen by the key's shardHash. V is *node for
-// the operator memos and bool for the subset-verdict memo.
-type stripedMemo[K shardKey, V any] struct {
-	name   string
-	stripe [NumShards]struct {
-		mu  sync.Mutex
-		tab *gen2[K, V]
-	}
-}
-
-func newStripedMemo[K shardKey, V any](name string) *stripedMemo[K, V] {
-	m := &stripedMemo[K, V]{name: name}
-	per := perShardLimit(defaultMemoBudget)
-	for i := range m.stripe {
-		m.stripe[i].tab = newGen2[K, V](per)
-	}
+func newMemo[K comparable, V any](name string) *memo[K, V] {
+	m := &memo[K, V]{name: name, tab: newGen2[K, V](defaultMemoBudget)}
+	memos = append(memos, m)
 	return m
 }
 
-func (m *stripedMemo[K, V]) get(k K) (V, bool) {
-	s := &m.stripe[shardIndex(k.shardHash())]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tab.get(k)
+func (m *memo[K, V]) get(k K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.tab.get(k)
 }
 
-func (m *stripedMemo[K, V]) put(k K, v V) {
-	s := &m.stripe[shardIndex(k.shardHash())]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tab.put(k, v)
+func (m *memo[K, V]) put(k K, v V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tab.put(k, v)
 }
 
-// counters sums this memo's hit/miss/eviction counters across stripes.
-func (m *stripedMemo[K, V]) counters() (hits, misses, evicted, rotated uint64) {
-	for i := range m.stripe {
-		s := &m.stripe[i]
-		s.mu.Lock()
-		hits += s.tab.hits
-		misses += s.tab.misses
-		evicted += s.tab.evicted
-		rotated += s.tab.rotated
-		s.mu.Unlock()
-	}
-	return
+func (m *memo[K, V]) counters() (name string, hits, misses uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.name, m.tab.hits, m.tab.misses
 }
 
-func (m *stripedMemo[K, V]) reset() {
-	for i := range m.stripe {
-		s := &m.stripe[i]
-		s.mu.Lock()
-		s.tab.reset()
-		s.mu.Unlock()
-	}
+func (m *memo[K, V]) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tab.reset()
 }
 
-func (m *stripedMemo[K, V]) setLimit(total int) {
-	per := perShardLimit(total)
-	for i := range m.stripe {
-		s := &m.stripe[i]
-		s.mu.Lock()
-		s.tab.limit = per
-		s.mu.Unlock()
-	}
+func (m *memo[K, V]) setLimit(entries int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tab.limit = entries
 }
 
 var (
-	unionMemo     = newStripedMemo[nodePair, *node]("union")
-	unionAllMemo  = newStripedMemo[nodeListKey, *node]("unionAll")
-	intersectMemo = newStripedMemo[nodePair, *node]("intersect")
-	hideMemo      = newStripedMemo[hideKey, *node]("hide")
-	ignoreMemo    = newStripedMemo[ignoreKey, *node]("ignore")
-	parallelMemo  = newStripedMemo[parKey, *node]("parallel")
-	parBoundMemo  = newStripedMemo[parBoundKey, *node]("parallelTo")
-	truncMemo     = newStripedMemo[nodeIntKey, *node]("truncate")
-	subsetMemo    = newStripedMemo[nodePair, bool]("subset")
+	unionMemo = newMemo[nodePair, *node]("union")
+	// unionAllMemo is keyed by the packed creation ids of the (sorted,
+	// deduplicated) operand nodes. Node ids are never reused, so the key
+	// stays unambiguous across cache evictions.
+	unionAllMemo  = newMemo[string, *node]("unionAll")
+	intersectMemo = newMemo[nodePair, *node]("intersect")
+	hideMemo      = newMemo[hideKey, *node]("hide")
+	ignoreMemo    = newMemo[ignoreKey, *node]("ignore")
+	parallelMemo  = newMemo[parKey, *node]("parallel")
+	truncMemo     = newMemo[nodeIntKey, *node]("truncate")
+	subsetMemo    = newMemo[nodePair, bool]("subset")
 )
 
-// intern returns the canonical node for the given edge list, which must be
-// sorted by key, free of duplicate keys, and built over canonical children.
 // satAdd adds two non-negative trace counts, saturating at MaxInt.
 func satAdd(a, b int) int {
 	const maxInt = int(^uint(0) >> 1)
@@ -425,27 +309,43 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
+// intern returns the canonical node for the given edge list, which must be
+// sorted by key, free of duplicate keys, and built over canonical children.
 // The caller must not retain or mutate edges after the call if the interned
-// node may share it. Only the one stripe owning the hash is locked, so
-// interns of unrelated nodes proceed in parallel.
-func intern(edges []edge) *node {
-	if len(edges) == 0 {
+// node may share it.
+func intern(edges []edge) *node { return internEdges(edges, edges) }
+
+// internCopy is intern for callers that reuse their edge buffer: edges may
+// be a scratch (or stack) slice the caller recycles after the call. On a
+// hit nothing is retained; on a miss an exact-size copy is interned, never
+// edges itself — which also sheds the append slack a growing scratch
+// carries.
+func internCopy(edges []edge) *node { return internEdges(edges, nil) }
+
+// internEdges is the locked bucket probe behind intern and internCopy. It
+// only reads probe; a node minted on a miss owns own, or an exact-size
+// copy of probe when own is nil.
+func internEdges(probe, own []edge) *node {
+	if len(probe) == 0 {
 		return emptyNode
 	}
-	h := hashEdges(edges)
-	sh := &internShards[shardIndex(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket, _ := sh.tab.get(h)
+	h := hashEdges(probe)
+	internTab.mu.Lock()
+	defer internTab.mu.Unlock()
+	bucket, _ := internTab.buckets.get(h)
 	for _, cand := range bucket {
-		if edgesIdentical(cand.edges, edges) {
-			sh.hits++
+		if edgesIdentical(cand.edges, probe) {
+			internTab.hits++
 			return cand
 		}
 	}
-	sh.misses++
+	internTab.misses++
+	if own == nil {
+		own = make([]edge, len(probe))
+		copy(own, probe)
+	}
 	size, height := 1, 0
-	for _, e := range edges {
+	for _, e := range own {
 		// Trie sharing makes member counts exponential in depth, so the sum
 		// saturates instead of wrapping: a deep parallel composition easily
 		// exceeds MaxInt members while the trie itself stays tiny.
@@ -454,69 +354,9 @@ func intern(edges []edge) *node {
 			height = ch
 		}
 	}
-	n := &node{edges: edges, id: nextNodeID.Add(1), hash: h, size: size, height: height}
-	sh.tab.put(h, append(bucket, n))
-	return n
-}
-
-// internCopy is intern for callers that reuse their edge buffer: edges may
-// be a scratch slice the caller recycles after the call. On a hit nothing
-// is retained; on a miss an exact-size copy is interned, never edges
-// itself — which also sheds the append slack a growing scratch carries.
-func internCopy(edges []edge) *node {
-	if len(edges) == 0 {
-		return emptyNode
-	}
-	h := hashEdges(edges)
-	sh := &internShards[shardIndex(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket, _ := sh.tab.get(h)
-	for _, cand := range bucket {
-		if edgesIdentical(cand.edges, edges) {
-			sh.hits++
-			return cand
-		}
-	}
-	sh.misses++
-	cp := make([]edge, len(edges))
-	copy(cp, edges)
-	size, height := 1, 0
-	for _, e := range cp {
-		size = satAdd(size, e.child.size)
-		if ch := 1 + e.child.height; ch > height {
-			height = ch
-		}
-	}
-	n := &node{edges: cp, id: nextNodeID.Add(1), hash: h, size: size, height: height}
-	sh.tab.put(h, append(bucket, n))
-	return n
-}
-
-// internPrefix is intern specialised to the single-edge nodes Prefix
-// builds. On a hit — the steady state of every fixpoint iteration — no
-// edge slice is materialised at all; the probe works from the scalars.
-func internPrefix(id trace.EventID, ev trace.Event, child *node) *node {
-	h := hashUint(hashUint(fnvOffset, uint64(id)), child.hash)
-	sh := &internShards[shardIndex(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket, _ := sh.tab.get(h)
-	for _, cand := range bucket {
-		if len(cand.edges) == 1 && cand.edges[0].id == id && cand.edges[0].child == child {
-			sh.hits++
-			return cand
-		}
-	}
-	sh.misses++
-	n := &node{
-		edges:  []edge{{id: id, ev: ev, child: child}},
-		id:     nextNodeID.Add(1),
-		hash:   h,
-		size:   satAdd(1, child.size),
-		height: 1 + child.height,
-	}
-	sh.tab.put(h, append(bucket, n))
+	internTab.lastID++
+	n := &node{edges: own, id: internTab.lastID, hash: h, size: size, height: height}
+	internTab.buckets.put(h, append(bucket, n))
 	return n
 }
 
@@ -571,12 +411,9 @@ type OpStats struct {
 	Misses uint64
 }
 
-// CacheStats is a snapshot of the interning and memoization counters,
-// aggregated across the lock stripes, for benchmark harnesses and
-// long-running hosts watching cache health.
+// CacheStats is a snapshot of the interning and memoization counters, for
+// benchmark harnesses and long-running hosts watching cache health.
 type CacheStats struct {
-	// Shards is the number of lock stripes (NumShards), for display.
-	Shards int
 	// InternedNodes is the number of canonical nodes currently retained by
 	// the intern table (live Sets may additionally pin evicted nodes).
 	InternedNodes int
@@ -586,8 +423,7 @@ type CacheStats struct {
 	InternMisses uint64
 	// Evicted is the cumulative number of intern-table entries dropped by
 	// generation rotation (entries are hash buckets, almost always holding
-	// one node each); Rotations counts the rotations themselves, summed
-	// over stripes.
+	// one node each); Rotations counts the rotations themselves.
 	Evicted   uint64
 	Rotations uint64
 	// MemoHits / MemoMisses aggregate the operator memo tables; Ops breaks
@@ -605,44 +441,22 @@ type CacheStats struct {
 }
 
 // Stats returns a snapshot of the interning and operator-memo counters.
-// Stripes are locked one at a time, so a snapshot taken while engines run
-// is internally consistent per stripe but only approximately so globally —
+// Tables are locked one at a time, so a snapshot taken while engines run
+// is internally consistent per table but only approximately so globally —
 // fine for the monitoring it serves.
 func Stats() CacheStats {
-	s := CacheStats{Shards: NumShards, Ops: map[string]OpStats{}}
-	for i := range internShards {
-		sh := &internShards[i]
-		sh.mu.Lock()
-		s.InternedNodes += countInternedLocked(sh.tab)
-		s.InternHits += sh.hits
-		s.InternMisses += sh.misses
-		s.Evicted += sh.tab.evicted
-		s.Rotations += sh.tab.rotated
-		sh.mu.Unlock()
-	}
-	record := func(name string, hits, misses uint64) {
+	s := CacheStats{Ops: map[string]OpStats{}}
+	internTab.mu.Lock()
+	s.InternedNodes = countInternedLocked(internTab.buckets)
+	s.InternHits, s.InternMisses = internTab.hits, internTab.misses
+	s.Evicted, s.Rotations = internTab.buckets.evicted, internTab.buckets.rotated
+	internTab.mu.Unlock()
+	for _, m := range memos {
+		name, hits, misses := m.counters()
 		s.Ops[name] = OpStats{Hits: hits, Misses: misses}
 		s.MemoHits += hits
 		s.MemoMisses += misses
 	}
-	uh, um, _, _ := unionMemo.counters()
-	record(unionMemo.name, uh, um)
-	uah, uam, _, _ := unionAllMemo.counters()
-	record(unionAllMemo.name, uah, uam)
-	ih, im, _, _ := intersectMemo.counters()
-	record(intersectMemo.name, ih, im)
-	hh, hm, _, _ := hideMemo.counters()
-	record(hideMemo.name, hh, hm)
-	gh, gm, _, _ := ignoreMemo.counters()
-	record(ignoreMemo.name, gh, gm)
-	ph, pm, _, _ := parallelMemo.counters()
-	record(parallelMemo.name, ph, pm)
-	pbh, pbm, _, _ := parBoundMemo.counters()
-	record(parBoundMemo.name, pbh, pbm)
-	th, tm, _, _ := truncMemo.counters()
-	record(truncMemo.name, th, tm)
-	sh, sm, _, _ := subsetMemo.counters()
-	record(subsetMemo.name, sh, sm)
 	s.Symbols = trace.SymbolTableStats()
 	return s
 }
@@ -655,33 +469,22 @@ func Stats() CacheStats {
 // embedded in live bitsets and trie edges and must stay stable for the
 // process lifetime (see DESIGN.md §3.4). Intended for tests and
 // cold-cache benchmarking; resetting while engines run concurrently is
-// safe (each stripe is locked for its wipe) but makes the hit counters
+// safe (each table is locked for its wipe) but makes the hit counters
 // meaningless for that run.
 func ResetCaches() {
-	for i := range internShards {
-		sh := &internShards[i]
-		sh.mu.Lock()
-		sh.tab.reset()
-		sh.hits, sh.misses = 0, 0
-		sh.mu.Unlock()
+	internTab.mu.Lock()
+	internTab.buckets.reset()
+	internTab.hits, internTab.misses = 0, 0
+	internTab.mu.Unlock()
+	for _, m := range memos {
+		m.reset()
 	}
-	unionMemo.reset()
-	unionAllMemo.reset()
-	intersectMemo.reset()
-	hideMemo.reset()
-	ignoreMemo.reset()
-	parallelMemo.reset()
-	parBoundMemo.reset()
-	truncMemo.reset()
-	subsetMemo.reset()
 }
 
-// SetCacheBudget adjusts the total entry budgets of the intern table and
-// the operator memo tables; each budget is split evenly across the stripes,
-// and each stripe retains at most twice its share, so total retention is
-// bounded by 2×budget plus rounding slack of at most 2×NumShards entries.
-// Values ≤ 0 restore the defaults. Lower budgets trade memo effectiveness
-// for a tighter memory ceiling in long-running hosts; the change applies to
+// SetCacheBudget adjusts the entry budgets of the intern table and of each
+// operator memo table; each table retains at most twice its budget. Values
+// ≤ 0 restore the defaults. Lower budgets trade memo effectiveness for a
+// tighter memory ceiling in long-running hosts; the change applies to
 // subsequent inserts and does not drop current entries.
 func SetCacheBudget(internNodes, memoEntries int) {
 	if internNodes <= 0 {
@@ -690,20 +493,10 @@ func SetCacheBudget(internNodes, memoEntries int) {
 	if memoEntries <= 0 {
 		memoEntries = defaultMemoBudget
 	}
-	per := perShardLimit(internNodes)
-	for i := range internShards {
-		sh := &internShards[i]
-		sh.mu.Lock()
-		sh.tab.limit = per
-		sh.mu.Unlock()
+	internTab.mu.Lock()
+	internTab.buckets.limit = internNodes
+	internTab.mu.Unlock()
+	for _, m := range memos {
+		m.setLimit(memoEntries)
 	}
-	unionMemo.setLimit(memoEntries)
-	unionAllMemo.setLimit(memoEntries)
-	intersectMemo.setLimit(memoEntries)
-	hideMemo.setLimit(memoEntries)
-	ignoreMemo.setLimit(memoEntries)
-	parallelMemo.setLimit(memoEntries)
-	parBoundMemo.setLimit(memoEntries)
-	truncMemo.setLimit(memoEntries)
-	subsetMemo.setLimit(memoEntries)
 }

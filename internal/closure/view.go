@@ -12,9 +12,8 @@ import "cspsat/internal/trace"
 // trace listings in the same order. Listings come from WalkSorted, which
 // orders edges by trace.Event.Compare, so they depend on neither live
 // event ids nor an arena's local event indices: a truncated listing keeps
-// the same members in every process. WalkDFS visits edges in live event-id
-// order on both sides. Engines that need to build new sets on top of a
-// view call Thaw, the only method that may touch the interner.
+// the same members in every process. Engines that need to build new sets
+// on top of a view call Thaw, the only method that may touch the interner.
 type View interface {
 	// Size returns the number of traces in the set (the empty trace
 	// counts), saturating at MaxInt.
@@ -41,9 +40,6 @@ type View interface {
 	// member's edges are ordered. WalkSorted reports whether the walk ran
 	// to the end.
 	WalkSorted(visit func(depth int, last trace.Event, maximal bool) bool) bool
-	// WalkDFS traverses the set depth-first in live event-id order; see
-	// Set.WalkDFS for the callback contract.
-	WalkDFS(visit func(path trace.T) bool, push, pop func(ev trace.Event)) bool
 	// Thaw returns the canonical interned *Set holding the same traces —
 	// the write-side escape hatch. A *Set thaws to itself; a frozen view
 	// rebuilds bottom-up through the interner (once per arena, cached), so

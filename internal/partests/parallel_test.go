@@ -4,8 +4,8 @@
 // pointer identity (Same, not just set equality) where the engines agree
 // exactly; a reuse test on the explorer's state table and memo; assert
 // and proof batches across a worker pool against their serial runs;
-// cancellation tests asserting prompt return without shard corruption;
-// and a hammer test on the lock-striped intern tables themselves. Run
+// cancellation tests asserting prompt return without corrupting the
+// shared intern tables; and a hammer test on those tables themselves. Run
 // with -race; CI does.
 package partests
 
@@ -139,7 +139,7 @@ func TestCrossEngineAgreement(t *testing.T) {
 
 // TestCancellationPrompt checks that a canceled context aborts exploration
 // with an error wrapping both ErrCanceled and the caller's cause, and —
-// the shard-corruption half — that the very same computation still
+// the table-corruption half — that the very same computation still
 // produces the canonical answer afterwards: a torn intern table would
 // surface as a Same failure or a race report.
 func TestCancellationPrompt(t *testing.T) {
@@ -169,14 +169,14 @@ func TestCancellationPrompt(t *testing.T) {
 			})
 		}
 	}
-	// The shards took concurrent writes from the runs above; the canonical
-	// answer must be unchanged.
+	// The intern tables took concurrent writes from the runs above; the
+	// canonical answer must be unchanged.
 	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !baseline.Set.Same(after.Set) {
-		t.Fatal("canonical node changed after canceled runs — shard state corrupted")
+		t.Fatal("canonical node changed after canceled runs — intern table corrupted")
 	}
 }
 
@@ -244,7 +244,7 @@ func TestBatchProofChecking(t *testing.T) {
 // TestShardHammer drives many goroutines through identical closure-layer
 // constructions simultaneously. Global canonicality demands every
 // goroutine receive the *same pointers*; the race detector additionally
-// verifies the striped locking publishes nodes safely.
+// verifies that the intern and memo tables' mutexes publish nodes safely.
 func TestShardHammer(t *testing.T) {
 	build := func() *closure.Set {
 		evs := []trace.Event{

@@ -1,9 +1,9 @@
 // The serving-path half of the cancellation guarantees: cspserved aborts
 // engine runs for reasons the CLI never sees (client disconnects, request
 // budgets, forced drains), all mid-exploration, all against the shared
-// global intern shards. These tests drive real HTTP handlers through those
+// global intern tables. These tests drive real HTTP handlers through those
 // aborts and then assert — by canonical pointer identity, like the rest of
-// this package — that the shards still produce the exact baseline nodes.
+// this package — that the tables still produce the exact baseline nodes.
 // Run with -race; CI does.
 package partests
 
@@ -24,8 +24,8 @@ import (
 )
 
 // postJSON fires one request at the handler under ctx and returns the
-// status code; the body is discarded (these tests care about shard state,
-// not payloads).
+// status code; the body is discarded (these tests care about intern-table
+// state, not payloads).
 func postJSON(t testing.TB, h http.Handler, ctx context.Context, path, body string) int {
 	t.Helper()
 	req := httptest.NewRequest("POST", path, bytes.NewReader([]byte(body)))
@@ -39,9 +39,9 @@ func postJSON(t testing.TB, h http.Handler, ctx context.Context, path, body stri
 
 // TestServerDisconnectShardConsistency hammers a server with requests whose
 // clients hang up mid-exploration, concurrently, and checks that (a) every
-// abort is reported as 499, never as a partial result, and (b) the shards
-// the aborted explorations wrote remain canonical: re-running a completed
-// baseline yields the same pointer as before the storm.
+// abort is reported as 499, never as a partial result, and (b) the intern
+// tables the aborted explorations wrote remain canonical: re-running a
+// completed baseline yields the same pointer as before the storm.
 func TestServerDisconnectShardConsistency(t *testing.T) {
 	mod := loadSpec(t, "multiplier.csp")
 	p, err := mod.Proc("multiplier")
@@ -66,7 +66,7 @@ func TestServerDisconnectShardConsistency(t *testing.T) {
 
 	// Depth 12 runs for seconds; every one of these clients disconnects
 	// tens of milliseconds in, so each abort lands mid-exploration while
-	// the other requests are still writing the same shards.
+	// the other requests are still writing the same tables.
 	const clients = 6
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
@@ -88,14 +88,14 @@ func TestServerDisconnectShardConsistency(t *testing.T) {
 		}
 	}
 
-	// The aborted runs wrote the same shards the baseline lives in; the
+	// The aborted runs wrote the same tables the baseline lives in; the
 	// canonical node must be bit-for-bit the one from before the storm.
 	after, err := mod.Traces(context.Background(), p, csp.EngineOptions{Depth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !baseline.Set.Same(after.Set) {
-		t.Fatal("canonical node changed after aborted server requests — shard state corrupted")
+		t.Fatal("canonical node changed after aborted server requests — intern table corrupted")
 	}
 
 	// And the server itself must still serve: the same spec, completed.

@@ -268,14 +268,12 @@ func candidates(leaves []leaf, current [][]op.Offer, hidden trace.Set, rng *rand
 	}
 	byChan := map[trace.Chan]*chanOffers{}
 	for li, offs := range current {
-		seen := map[trace.Chan]bool{}
 		perChan := map[trace.Chan][]op.Offer{}
 		for _, o := range offs {
 			if o.Tau {
 				continue
 			}
 			perChan[o.Ch] = append(perChan[o.Ch], o)
-			seen[o.Ch] = true
 		}
 		for ch, os := range perChan {
 			co := byChan[ch]
@@ -286,7 +284,6 @@ func candidates(leaves []leaf, current [][]op.Offer, hidden trace.Set, rng *rand
 			co.parts = append(co.parts, li)
 			co.offers = append(co.offers, os)
 		}
-		_ = seen
 	}
 	chans := make([]trace.Chan, 0, len(byChan))
 	for ch := range byChan {

@@ -2,6 +2,7 @@ package sem_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -18,16 +19,28 @@ import (
 // warm-up, further failures-model checks of every spec's asserts, and
 // failures models of every plain definition, add no entry. A composition
 // with inferred alphabets used to add its freshly built alphabet lists on
-// every step of its unstamped term, so every check grew the cache.
+// every step of its unstamped term, so every check grew the cache. The
+// inline module substitutes its input into an enumeration and, through
+// the composition's alphabets, into channel lists, which builds those
+// lists anew on every step; they used to be cached per built slice.
 func TestEnvCacheBoundedByModule(t *testing.T) {
 	files, err := filepath.Glob("../../specs/*.csp")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no specs: %v", err)
 	}
-	ctx := context.Background()
+	type module struct{ name, src string }
+	modules := []module{{"substituted-literals", "net = in?x:{0..2} -> (out!x -> STOP || out?y:{x} -> STOP)\n"}}
 	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			mod, err := csp.LoadFile(ctx, file, csp.Options{NatWidth: 3})
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modules = append(modules, module{filepath.Base(file), string(src)})
+	}
+	ctx := context.Background()
+	for _, m := range modules {
+		t.Run(m.name, func(t *testing.T) {
+			mod, err := csp.Load(ctx, m.src, csp.Options{NatWidth: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +74,9 @@ func TestEnvCacheBoundedByModule(t *testing.T) {
 
 // TestEnvCacheConcurrent resolves array instances and alphabets from
 // several goroutines at once on a cold cache: each gets the one canonical
-// alphabet list, and the same body for each instance.
+// alphabet list, and the same body for each instance. Then each evaluates
+// a literal channel list and enumeration it built itself, and the cache
+// keeps one entry for each content.
 func TestEnvCacheConcurrent(t *testing.T) {
 	mod, err := csp.LoadFile(context.Background(), "../../specs/philosophers.csp", csp.Options{NatWidth: 3})
 	if err != nil {
@@ -103,5 +118,25 @@ func TestEnvCacheConcurrent(t *testing.T) {
 	}
 	if got := bodies[0][0].String(); got != "(takeL[0]?x:{0} -> putL[0]?y:{0} -> fork[0] | takeR[0]?x:{0} -> putR[0]?y:{0} -> fork[0])" {
 		t.Errorf("fork[0] instantiates as %s", got)
+	}
+
+	before := sem.CacheEntries(env)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			list := []syntax.ChanItem{{Name: "eat", Sub: syntax.IntLit{Val: 0}}, {Name: "eat", Sub: syntax.IntLit{Val: 1}}}
+			if _, err := env.EvalChanItems(list); err != nil {
+				t.Error(err)
+			}
+			enum := syntax.EnumSet{Elems: []syntax.Expr{syntax.IntLit{Val: 0}, syntax.IntLit{Val: 2}}}
+			if _, err := env.EvalSet(enum); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := sem.CacheEntries(env) - before; got != 2 {
+		t.Errorf("%d goroutines evaluating equal literal lists added %d cache entries, want 2", goroutines, got)
 	}
 }

@@ -7,6 +7,7 @@ package sem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cspsat/internal/syntax"
@@ -36,11 +37,9 @@ type Env struct {
 // cached value evaluates the same under any bindings (and NatWidth, which
 // NAT depends on, is fixed at NewEnv time).
 //
-//   - chanItems: EvalChanItems of literal channel lists, keyed by slice
-//     identity. The keys' element pointers keep the slices alive, so an
-//     address is never recycled under a live entry.
-//   - doms: EvalSet of named sets, and of all-literal enumerations keyed
-//     by slice identity.
+//   - chanItems: EvalChanItems of literal channel lists, keyed by content.
+//   - enums: EvalSet of all-literal enumerations, keyed by content.
+//   - doms: EvalSet of named sets.
 //   - items: ChanItems' canonical list for each inferred alphabet, keyed
 //     by the alphabet's trace.ChanSetID.
 //   - insts: Instantiate's body for each process-array instance, keyed by
@@ -52,25 +51,128 @@ type Env struct {
 // resolved once per module instead of once per state. The keys are the
 // module's: its own lists and sets, one canonical list per distinct
 // alphabet of its compositions, and at most one instance per element of
-// each array's finite index domain. So repeated checks of a module's
-// processes leave the cache's size unchanged. A list or enumeration that
-// substituting an input value builds anew is the exception: it is cached
-// per built slice.
+// each array's finite index domain. A list or enumeration that
+// substituting an input value builds anew finds the entry of the first
+// list with its literals, so there is at most one per value substituted.
+// So repeated checks of a module's processes leave the cache's size
+// unchanged.
 type envCache struct {
-	chanItems sync.Map // chanItemsKey → trace.Set
-	doms      sync.Map // string (set name) or enumKey → value.Domain
+	chanItems litCache[syntax.ChanItem, trace.Set]
+	enums     litCache[syntax.Expr, value.Domain]
+	doms      sync.Map // set name → value.Domain
 	items     sync.Map // trace.ChanSetID → []syntax.ChanItem
 	insts     sync.Map // instKey → syntax.Proc
 }
 
-type chanItemsKey struct {
-	first *syntax.ChanItem
+// litCache caches what a non-empty list of literals evaluates to by the
+// list's content: a hash of the literals and element equality pick the
+// entry, so a list that substituting a value builds anew finds the entry
+// of the first list with its literals. A module has few such lists, one
+// per distinct list of its own and per value substituted, so the entries
+// are scanned in one chain. held indexes the lists the chain holds by
+// identity, so the module's own lists and the canonical alphabet lists,
+// met on every state step, answer without hashing. Lookups allocate
+// nothing. E is an element type whose literals compare exactly with ==.
+type litCache[E comparable, V any] struct {
+	held sync.Map // litKey[E] → *litEntry[E, V]
+	mu   sync.Mutex
+	head *litEntry[E, V]
+}
+
+type litKey[E any] struct {
+	first *E
 	n     int
 }
 
-type enumKey struct {
-	first *syntax.Expr
-	n     int
+type litEntry[E comparable, V any] struct {
+	hash uint64
+	list []E
+	val  V
+	next *litEntry[E, V]
+}
+
+// load returns the value cached for list, and on a miss the hash to store
+// it under.
+func (c *litCache[E, V]) load(list []E, hash func([]E) uint64) (V, uint64, bool) {
+	if e, ok := c.held.Load(litKey[E]{first: &list[0], n: len(list)}); ok {
+		return e.(*litEntry[E, V]).val, 0, true
+	}
+	h := hash(list)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.lookupLocked(h, list); e != nil {
+		return e.val, h, true
+	}
+	var zero V
+	return zero, h, false
+}
+
+// store caches val for list unless a list with its literals is cached.
+func (c *litCache[E, V]) store(h uint64, list []E, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lookupLocked(h, list) != nil {
+		return
+	}
+	c.head = &litEntry[E, V]{hash: h, list: list, val: val, next: c.head}
+	c.held.Store(litKey[E]{first: &list[0], n: len(list)}, c.head)
+}
+
+func (c *litCache[E, V]) lookupLocked(h uint64, list []E) *litEntry[E, V] {
+	for e := c.head; e != nil; e = e.next {
+		if e.hash == h && slices.Equal(e.list, list) {
+			return e
+		}
+	}
+	return nil
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func mixWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+func mixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return mixWord(h, uint64(len(s)))
+}
+
+// hashLit hashes an absent (nil) or literal expression; tags keep an
+// integer and a symbol apart.
+func hashLit(h uint64, e syntax.Expr) uint64 {
+	switch t := e.(type) {
+	case syntax.IntLit:
+		return mixWord(mixWord(h, 1), uint64(t.Val))
+	case syntax.SymLit:
+		return mixString(mixWord(h, 2), t.Name)
+	}
+	return mixWord(h, 0)
+}
+
+func hashLits(es []syntax.Expr) uint64 {
+	h := fnvOffset
+	for _, e := range es {
+		h = hashLit(h, e)
+	}
+	return h
+}
+
+func hashChanItems(items []syntax.ChanItem) uint64 {
+	h := fnvOffset
+	for _, it := range items {
+		h = hashLit(hashLit(hashLit(mixString(h, it.Name), it.Sub), it.Lo), it.Hi)
+	}
+	return h
 }
 
 // instKey identifies one process-array instance: a definition and an
@@ -136,21 +238,6 @@ func (e Env) LookupVar(x string) (value.V, bool) {
 		}
 	}
 	return value.V{}, false
-}
-
-// Fingerprint renders the bindings of the given variables, for use in
-// visited-state keys. Variables without bindings are rendered as "?".
-func (e Env) Fingerprint(vars []string) string {
-	out := ""
-	for _, x := range vars {
-		v, ok := e.LookupVar(x)
-		if ok {
-			out += x + "=" + v.Key() + ";"
-		} else {
-			out += x + "=?;"
-		}
-	}
-	return out
 }
 
 // EvalExpr evaluates a value expression under the environment.
@@ -246,15 +333,15 @@ func (e Env) EvalSet(s syntax.SetExpr) (value.Domain, error) {
 			if len(t.Elems) == 0 || !literalExprs(t.Elems) {
 				break
 			}
-			key := enumKey{first: &t.Elems[0], n: len(t.Elems)}
-			if v, ok := e.cache.doms.Load(key); ok {
-				return v.(value.Domain), nil
+			d, h, ok := e.cache.enums.load(t.Elems, hashLits)
+			if ok {
+				return d, nil
 			}
 			d, err := e.evalSet(s)
 			if err != nil {
 				return nil, err
 			}
-			e.cache.doms.Store(key, d)
+			e.cache.enums.store(h, t.Elems, d)
 			return d, nil
 		}
 	}
@@ -341,25 +428,26 @@ func (e Env) EvalChanRef(c syntax.ChanRef) (trace.Chan, error) {
 
 // EvalChanItems resolves a channel list (names, subscripted names, and
 // array ranges such as col[0..3]) to a concrete channel set. Literal lists
-// are cached by slice identity and the cached set is returned shared, so
+// are cached by content and the cached set is returned shared, so
 // the result must be treated as read-only — callers that need to mutate it
 // must Clone first (trace.Set's Add methods write through the backing
 // array).
 func (e Env) EvalChanItems(items []syntax.ChanItem) (trace.Set, error) {
 	cacheable := e.cache != nil && len(items) > 0 && literalChanItems(items)
-	var key chanItemsKey
+	var h uint64
 	if cacheable {
-		key = chanItemsKey{first: &items[0], n: len(items)}
-		if v, ok := e.cache.chanItems.Load(key); ok {
-			return v.(trace.Set), nil
+		out, hash, ok := e.cache.chanItems.load(items, hashChanItems)
+		if ok {
+			return out, nil
 		}
+		h = hash
 	}
 	out, err := e.evalChanItems(items)
 	if err != nil {
 		return out, err
 	}
 	if cacheable {
-		e.cache.chanItems.Store(key, out)
+		e.cache.chanItems.store(h, items, out)
 	}
 	return out, nil
 }
@@ -444,8 +532,7 @@ func (e Env) Instantiate(r syntax.Ref) (syntax.Proc, error) {
 // ChanItems returns a literal channel list denoting s, in s.Slice order:
 // plain channels by name, array elements by name and integer subscript.
 // Environments of one NewEnv return the same slice for the same
-// membership, so caches keyed by a list's identity hold one entry per
-// alphabet. The slice is shared and must not be modified.
+// membership. The slice is shared and must not be modified.
 func (e Env) ChanItems(s trace.Set) []syntax.ChanItem {
 	if e.cache == nil {
 		return itemsOf(s)

@@ -5,7 +5,8 @@ package sem
 func CacheEntries(e Env) int {
 	n := 0
 	count := func(any, any) bool { n++; return true }
-	e.cache.chanItems.Range(count)
+	e.cache.chanItems.held.Range(count)
+	e.cache.enums.held.Range(count)
 	e.cache.doms.Range(count)
 	e.cache.items.Range(count)
 	e.cache.insts.Range(count)

@@ -167,7 +167,4 @@ func TestBindShadowing(t *testing.T) {
 	if !ok || v.AsInt() != 2 {
 		t.Fatalf("shadowed lookup = %v %v", v, ok)
 	}
-	if got := e.Fingerprint([]string{"x", "y"}); got != "x=i2;y=?;" {
-		t.Errorf("Fingerprint = %q", got)
-	}
 }

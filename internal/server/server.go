@@ -29,7 +29,7 @@
 //     expiring surfaces as 504 (csperr.ErrDeadline), a client hanging up
 //     as 499, and a server drain as 503 (csperr.ErrInterrupted) — relying
 //     on the engines' guarantee that cancellation leaves the intern
-//     shards valid.
+//     tables valid.
 package server
 
 import (
@@ -346,7 +346,7 @@ func (s *Server) DrainDone() <-chan struct{} {
 
 // Abort hard-cancels every in-flight request's engine context. The
 // engines unwind with errors wrapping csperr.ErrCanceled and the intern
-// shards stay valid; the affected requests answer 503.
+// tables stay valid; the affected requests answer 503.
 func (s *Server) Abort() {
 	s.hardCancel(fmt.Errorf("%w (server shutting down)", csperr.ErrInterrupted))
 }

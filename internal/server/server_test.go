@@ -433,7 +433,8 @@ func TestBatchLengthCapped(t *testing.T) {
 
 // TestClientDisconnect checks that a client hanging up mid-request maps
 // to 499 — and, more importantly, that the engines unwind cleanly (the
-// partests suite checks shard consistency after exactly this pattern).
+// partests suite checks intern-table consistency after exactly this
+// pattern).
 func TestClientDisconnect(t *testing.T) {
 	srv := server.New(server.Config{})
 	h := srv.Handler()
@@ -537,7 +538,8 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestAbortCancelsInflight checks the forced half of shutdown: Abort cuts
 // a running request (503, interrupted cause) and the server stays
-// consistent for later traffic — the shard-validity guarantee at work.
+// consistent for later traffic — the intern tables' validity guarantee at
+// work.
 func TestAbortCancelsInflight(t *testing.T) {
 	srv := server.New(server.Config{RequestTimeout: 10 * time.Second})
 	h := srv.Handler()
@@ -567,7 +569,7 @@ func TestAbortCancelsInflight(t *testing.T) {
 
 // TestConcurrentMixedLoad hammers every endpoint concurrently over two
 // specs — the -race configuration CI runs is the acceptance criterion for
-// the serving path sharing intern shards across requests.
+// the serving path sharing the intern tables across requests.
 func TestConcurrentMixedLoad(t *testing.T) {
 	srv := server.New(server.Config{MaxInflight: 8, Workers: 2})
 	h := srv.Handler()

@@ -4,7 +4,7 @@ package trace
 // mapped once to dense integer ids, and the closure engine's hot paths run
 // on the ids instead of re-deriving string keys per operation. A ChanID
 // names a channel, an EventID names a communication c.m; both are assigned
-// densely in first-intern order by sharded symbol tables, so they double as
+// densely in first-intern order by the symbol tables, so they double as
 // bit positions (channel bitsets in set.go) and as compact memo-key
 // components (internal/closure).
 //
@@ -18,11 +18,12 @@ package trace
 // symbol tables monotonically. Specs have small fixed vocabularies, so
 // occupancy (see SymbolTableStats) stays in the hundreds.
 //
-// Concurrency: forward maps (name → id) are sharded under RWMutexes; the
-// reverse direction (id → name) is a chunked append-only store whose spine
-// and length are published with atomics, so reverse lookups — the per-edge
-// probes of the closure walkers — take no lock at all. An id handed to
-// another goroutine carries the usual Go happens-before edge from whatever
+// Concurrency: each forward map (name → id) sits under one RWMutex, which
+// interning a new symbol takes for writing; the reverse direction (id →
+// name) is a chunked append-only store whose spine and length are
+// published with atomics, so reverse lookups — the per-edge probes of the
+// closure walkers — take no lock at all. An id handed to another
+// goroutine carries the usual Go happens-before edge from whatever
 // synchronisation handed it over, which is what makes the lock-free read
 // safe.
 
@@ -52,47 +53,24 @@ type ChanSetID uint32
 type EventSetID uint32
 
 const (
-	symShards    = 32
-	symShardMask = symShards - 1
-
 	symChunkBits = 8
 	symChunkLen  = 1 << symChunkBits
 )
 
-const (
-	symFNVOffset uint64 = 14695981039346656037
-	symFNVPrime  uint64 = 1099511628211
-)
-
-func symHashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * symFNVPrime
-	}
-	return h
-}
-
-func symHashUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * symFNVPrime
-		v >>= 8
-	}
-	return h
-}
-
 // symStore is an append-only id → value array stored as fixed-size chunks
-// hanging off an atomically published spine. Appends serialise on mu;
-// reads are lock-free: a reader holding a valid id loads the spine pointer
-// (which only ever grows, and every published spine contains every chunk a
-// previously returned id lives in) and indexes directly.
+// hanging off an atomically published spine. Appends serialise on the
+// owning table's write lock; reads are lock-free: a reader holding a valid
+// id loads the spine pointer (which only ever grows, and every published
+// spine contains every chunk a previously returned id lives in) and
+// indexes directly.
 type symStore[V any] struct {
-	mu    sync.Mutex
 	count atomic.Uint32
 	spine atomic.Pointer[[]*[symChunkLen]V]
 }
 
+// append stores v under the next id; the caller holds the owning table's
+// write lock.
 func (s *symStore[V]) append(v V) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i := s.count.Load()
 	ci, off := int(i>>symChunkBits), i&(symChunkLen-1)
 	sp := s.spine.Load()
@@ -120,49 +98,25 @@ func (s *symStore[V]) len() int { return int(s.count.Load()) }
 
 // --- channel table ---
 
-type chanShard struct {
-	mu sync.RWMutex
-	m  map[Chan]ChanID
-}
-
 var chanTab = struct {
-	shards [symShards]chanShard
-	store  symStore[Chan]
-}{}
-
-func init() {
-	for i := range chanTab.shards {
-		chanTab.shards[i].m = make(map[Chan]ChanID)
-	}
-	for i := range eventTab.shards {
-		eventTab.shards[i].m = make(map[evKey]EventID)
-	}
-	chanSetTab.small = make(map[chanSetKey]ChanSetID)
-	chanSetTab.big = make(map[string]ChanSetID)
-	eventSetTab.m = make(map[string]EventSetID)
-}
-
-func chanShardOf(c Chan) *chanShard {
-	return &chanTab.shards[int(symHashString(symFNVOffset, string(c)))&symShardMask]
-}
+	mu    sync.RWMutex
+	ids   map[Chan]ChanID
+	store symStore[Chan]
+}{ids: map[Chan]ChanID{}}
 
 // ID interns the channel, returning its dense id. The first caller for a
 // given name assigns the id; every later call returns the same one.
 func (c Chan) ID() ChanID {
-	sh := chanShardOf(c)
-	sh.mu.RLock()
-	id, ok := sh.m[c]
-	sh.mu.RUnlock()
-	if ok {
+	if id, ok := LookupChan(c); ok {
 		return id
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.m[c]; ok {
+	chanTab.mu.Lock()
+	defer chanTab.mu.Unlock()
+	if id, ok := chanTab.ids[c]; ok {
 		return id
 	}
-	id = ChanID(chanTab.store.append(c))
-	sh.m[c] = id
+	id := ChanID(chanTab.store.append(c))
+	chanTab.ids[c] = id
 	return id
 }
 
@@ -170,10 +124,9 @@ func (c Chan) ID() ChanID {
 // the channel has never been interned (in which case it cannot belong to
 // any bitset either).
 func LookupChan(c Chan) (ChanID, bool) {
-	sh := chanShardOf(c)
-	sh.mu.RLock()
-	id, ok := sh.m[c]
-	sh.mu.RUnlock()
+	chanTab.mu.RLock()
+	id, ok := chanTab.ids[c]
+	chanTab.mu.RUnlock()
 	return id, ok
 }
 
@@ -198,16 +151,6 @@ type evKey struct {
 	s    string
 }
 
-func (k evKey) hash() uint64 {
-	h := symHashUint(symFNVOffset, uint64(k.c))
-	h = symHashUint(h, uint64(k.kind))
-	h = symHashUint(h, uint64(k.i))
-	if k.b {
-		h = symHashUint(h, 1)
-	}
-	return symHashString(h, k.s)
-}
-
 func eventInternKey(c ChanID, m value.V) evKey {
 	k := evKey{c: c, kind: m.Kind()}
 	switch m.Kind() {
@@ -228,35 +171,34 @@ type eventEntry struct {
 	ch ChanID
 }
 
-type eventShard struct {
-	mu sync.RWMutex
-	m  map[evKey]EventID
-}
-
 var eventTab = struct {
-	shards [symShards]eventShard
-	store  symStore[eventEntry]
-}{}
+	mu    sync.RWMutex
+	ids   map[evKey]EventID
+	store symStore[eventEntry]
+}{ids: map[evKey]EventID{}}
+
+func lookupEvent(k evKey) (EventID, bool) {
+	eventTab.mu.RLock()
+	id, ok := eventTab.ids[k]
+	eventTab.mu.RUnlock()
+	return id, ok
+}
 
 // ID interns the event, returning its dense id. Warm calls (channel and
 // event already interned, scalar message) allocate nothing.
 func (e Event) ID() EventID {
 	cid := e.Chan.ID()
 	k := eventInternKey(cid, e.Msg)
-	sh := &eventTab.shards[int(k.hash())&symShardMask]
-	sh.mu.RLock()
-	id, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
+	if id, ok := lookupEvent(k); ok {
 		return id
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.m[k]; ok {
+	eventTab.mu.Lock()
+	defer eventTab.mu.Unlock()
+	if id, ok := eventTab.ids[k]; ok {
 		return id
 	}
-	id = EventID(eventTab.store.append(eventEntry{ev: e, ch: cid}))
-	sh.m[k] = id
+	id := EventID(eventTab.store.append(eventEntry{ev: e, ch: cid}))
+	eventTab.ids[k] = id
 	return id
 }
 
@@ -267,12 +209,7 @@ func (e Event) LookupID() (EventID, bool) {
 	if !ok {
 		return 0, false
 	}
-	k := eventInternKey(cid, e.Msg)
-	sh := &eventTab.shards[int(k.hash())&symShardMask]
-	sh.mu.RLock()
-	id, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return id, ok
+	return lookupEvent(eventInternKey(cid, e.Msg))
 }
 
 // EventByID returns the event named by a previously interned id.
@@ -300,7 +237,7 @@ var chanSetTab = struct {
 	small map[chanSetKey]ChanSetID
 	big   map[string]ChanSetID
 	next  ChanSetID
-}{}
+}{small: map[chanSetKey]ChanSetID{}, big: map[string]ChanSetID{}}
 
 func packWords(ws []uint64) string {
 	b := make([]byte, 0, 8*len(ws))
@@ -378,7 +315,7 @@ func NumChanSets() int {
 var eventSetTab = struct {
 	mu sync.RWMutex
 	m  map[string]EventSetID
-}{}
+}{m: map[string]EventSetID{}}
 
 // InternEventIDs interns a list of event ids (a chatter alphabet) and
 // returns its identity: lists with the same elements share one id. The

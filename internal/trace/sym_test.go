@@ -67,9 +67,10 @@ func TestEventIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentInterning hammers the sharded tables from many goroutines
+// TestConcurrentInterning hammers the symbol tables from many goroutines
 // interning overlapping name sets; every goroutine must observe the same
-// name→id assignment. Run under -race in CI.
+// name→id assignment, which one write lock per table and the lock-free
+// reverse store must keep. Run under -race in CI.
 func TestConcurrentInterning(t *testing.T) {
 	const goroutines, names = 8, 100
 	results := make([][]ChanID, goroutines)

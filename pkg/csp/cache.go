@@ -26,7 +26,7 @@ import (
 // tier: memory LRU → disk store → compile, with the singleflight covering
 // both tiers (one leader per key probes the disk and, failing that,
 // parses; everyone else waits on its result). Modules are immutable once
-// loaded (their engines share the global intern shards), so one cached
+// loaded (their engines share the global intern tables), so one cached
 // Module may serve many concurrent requests. The zero value is not usable;
 // construct with NewModuleCache.
 type ModuleCache struct {

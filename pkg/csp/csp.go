@@ -16,7 +16,7 @@
 // Every method takes a context.Context and returns promptly after
 // cancellation with an error wrapping ErrCanceled; CheckOptions.Workers > 1
 // spreads CheckAll's asserts and CheckBatch's proofs across a worker pool
-// over the sharded intern tables (DESIGN.md §3.2, §3.7). Failure classes
+// over the shared intern tables (DESIGN.md §3.2, §3.7). Failure classes
 // are exposed as sentinel errors (ErrParse, ErrDepthExceeded,
 // ErrCanceled, ErrObligationFailed) for errors.Is dispatch.
 package csp
@@ -112,7 +112,7 @@ type (
 	// ProgressTracker accumulates the latest event per stage for snapshot
 	// reporting (see cspserved's per-request progress).
 	ProgressTracker = progress.Tracker
-	// CacheStats aggregates the sharded intern/memo table counters.
+	// CacheStats aggregates the intern and memo table counters.
 	CacheStats = closure.CacheStats
 	// RunResult is the outcome of executing a process on goroutines.
 	RunResult = runtime.Result
@@ -885,8 +885,8 @@ func FormatAssertResults(results []AssertResult) string {
 	return sb.String()
 }
 
-// Stats aggregates the intern and operator-memo counters across every
-// shard of the closure layer.
+// Stats aggregates the intern and operator-memo counters of the closure
+// layer.
 func Stats() CacheStats { return closure.Stats() }
 
 // ResetCaches clears the shared intern and memo tables — between benchmark

@@ -12,13 +12,14 @@ import (
 )
 
 // referenceListing is the listing EncodeTraceSet must produce, built the
-// long way from the id-order WalkDFS: every member, sorted by
-// trace.T.Compare, only the maximal ones with maxOnly, the first limit of
-// them, each rendered by EncodeTrace.
+// long way from the id-order WalkDFS of the thawed set: every member,
+// sorted by trace.T.Compare, only the maximal ones with maxOnly, the first
+// limit of them, each rendered by EncodeTrace. Thawing a frozen view
+// leaves the result frozen, so View keeps serving the arena.
 func referenceListing(r *csp.TraceResult, maxOnly bool, limit int) csp.TraceSetJSON {
 	v := r.View()
 	var all []csp.Trace
-	v.WalkDFS(func(path trace.T) bool {
+	v.Thaw().WalkDFS(func(path trace.T) bool {
 		all = append(all, slices.Clone(path))
 		return true
 	}, nil, nil)
