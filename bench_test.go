@@ -416,7 +416,7 @@ func BenchmarkBoundedValidity(b *testing.B) {
 	}
 	cfg := assertion.ValidityConfig{Env: env, MaxLen: 3}
 	for i := 0; i < b.N; i++ {
-		cex, err := assertion.Valid(trans, cfg)
+		cex, err := assertion.Valid(context.Background(), trans, cfg)
 		if err != nil || cex != nil {
 			b.Fatalf("%v %v", cex, err)
 		}
@@ -660,6 +660,46 @@ func BenchmarkFailuresCheckClass(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := mod.CheckAll(context.Background(), opts); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProveAssertsDefaults runs ProveAsserts the way a cold
+// /v1/prove request does at the server's defaults: nat 3, one worker, and
+// bounded validity at maxlen 3 over NAT(3) ∪ {ACK, NACK}. Nearly all of
+// its time is assertion.Valid discharging the §2.1 side conditions.
+func BenchmarkProveAssertsDefaults(b *testing.B) {
+	opts := csp.CheckOptions{
+		Workers: 1,
+		Validity: &assertion.ValidityConfig{
+			MaxLen: 3,
+			DefaultDom: value.Union{
+				A: value.Nat{SampleWidth: 3},
+				B: value.NewEnum(value.Sym("ACK"), value.Sym("NACK")),
+			},
+		},
+	}
+	for _, spec := range []string{"copier", "protocol"} {
+		src, err := os.ReadFile("specs/" + spec + ".csp")
+		if err != nil {
+			b.Fatal(err)
+		}
+		mod, err := csp.Load(context.Background(), string(src), csp.Options{NatWidth: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				results, err := mod.ProveAsserts(context.Background(), opts, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range results {
+					if !r.OK {
+						b.Fatalf("%s: %v", r.Decl, r.Err)
+					}
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package assertion_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -341,7 +342,7 @@ func TestBoundedValidity(t *testing.T) {
 
 	// Valid: wire <= wire.
 	valid := assertion.PrefixLE(assertion.Chan("wire"), assertion.Chan("wire"))
-	cex, err := assertion.Valid(valid, cfg)
+	cex, err := assertion.Valid(context.Background(), valid, cfg)
 	if err != nil || cex != nil {
 		t.Fatalf("wire<=wire: %v %v", cex, err)
 	}
@@ -353,13 +354,13 @@ func TestBoundedValidity(t *testing.T) {
 			assertion.Cons{Head: assertion.Var("v"), Tail: assertion.Chan("input")},
 		),
 	}
-	cex, err = assertion.Valid(mono, cfg)
+	cex, err = assertion.Valid(context.Background(), mono, cfg)
 	if err != nil || cex != nil {
 		t.Fatalf("monotonicity: %v %v", cex, err)
 	}
 	// Invalid: wire <= input, counterexample reported.
 	invalid := assertion.PrefixLE(assertion.Chan("wire"), assertion.Chan("input"))
-	cex, err = assertion.Valid(invalid, cfg)
+	cex, err = assertion.Valid(context.Background(), invalid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestBoundedValidity(t *testing.T) {
 		},
 		R: assertion.PrefixLE(assertion.Chan("a"), assertion.Chan("c")),
 	}
-	cex, err = assertion.Valid(trans, cfg)
+	cex, err = assertion.Valid(context.Background(), trans, cfg)
 	if err != nil || cex != nil {
 		t.Fatalf("transitivity: %v %v", cex, err)
 	}
@@ -388,12 +389,12 @@ func TestBoundedValidityLimits(t *testing.T) {
 	// Case-space overflow is an error, not a silent pass.
 	cfg := assertion.ValidityConfig{Env: env, MaxLen: 4, MaxCases: 10}
 	wide := assertion.PrefixLE(assertion.Chan("a"), assertion.Chan("b"))
-	if _, err := assertion.Valid(wide, cfg); err == nil {
+	if _, err := assertion.Valid(context.Background(), wide, cfg); err == nil {
 		t.Fatal("case-space overflow not reported")
 	}
 	// Symbolically subscripted channels cannot be enumerated.
 	sym := assertion.PrefixLE(assertion.ChanIdx("col", assertion.Var("j")), assertion.Chan("b"))
-	if _, err := assertion.Valid(sym, assertion.ValidityConfig{Env: env}); err == nil {
+	if _, err := assertion.Valid(context.Background(), sym, assertion.ValidityConfig{Env: env}); err == nil {
 		t.Fatal("wildcard channel accepted")
 	}
 }
@@ -413,7 +414,7 @@ func TestValidityCountsBeforeEnumerating(t *testing.T) {
 	a := assertion.PrefixLE(assertion.Chan("wire"), assertion.Chan("input"))
 	want := "assertion: bounded validity space exceeds 4194304 cases"
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := assertion.Valid(a, cfg); err == nil || err.Error() != want {
+		if _, err := assertion.Valid(context.Background(), a, cfg); err == nil || err.Error() != want {
 			t.Fatalf("Valid: got %v, want %q", err, want)
 		}
 	})
@@ -449,16 +450,60 @@ func TestValidityUsesVarDomains(t *testing.T) {
 			"y": value.NewEnum(value.Sym("ACK")),
 		},
 	}
-	cex, err := assertion.Valid(ob, cfg)
+	cex, err := assertion.Valid(context.Background(), ob, cfg)
 	if err != nil || cex != nil {
 		t.Fatalf("Table-1 ACK obligation: %v %v", cex, err)
 	}
 	cfg.VarDom["y"] = value.NewEnum(value.Sym("ACK"), value.Sym("NACK"))
-	cex, err = assertion.Valid(ob, cfg)
+	cex, err = assertion.Valid(context.Background(), ob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cex == nil {
 		t.Fatal("widened y should produce a counterexample")
+	}
+}
+
+// TestResolveChans checks that resolving literal channel subscripts keeps
+// a formula's rendering and value, leaves symbolic subscripts alone, and
+// costs nothing on a formula without literal subscripts, which is most of
+// the formulas the model checker meets.
+func TestResolveChans(t *testing.T) {
+	a := assertion.And{
+		L: assertion.PrefixLE(assertion.ChanIdx("c", assertion.Int(1)), assertion.ChanIdx("c", assertion.Int(0))),
+		R: assertion.ForAllRange{Var: "j", Lo: assertion.Int(0), Hi: assertion.Int(1),
+			Body: assertion.Cmp{Op: assertion.CLe,
+				L: assertion.Len{S: assertion.ChanIdx("c", assertion.Var("j"))},
+				R: assertion.Arith{Op: assertion.AAdd, L: assertion.Len{S: assertion.ChanIdx("c", assertion.Int(0))}, R: assertion.Int(1)}}},
+	}
+	r := assertion.ResolveChans(a)
+	if r.String() != a.String() {
+		t.Fatalf("resolved form renders as %s, want %s", r, a)
+	}
+	if got := r.(assertion.And).L.(assertion.Cmp).L; got != assertion.Chan("c[1]") {
+		t.Errorf("c[1] resolved to %#v", got)
+	}
+	if got := r.(assertion.And).R.(assertion.ForAllRange).Body.(assertion.Cmp).L.(assertion.Len).S.(assertion.ChanT); got.Sub == nil {
+		t.Errorf("symbolic subscript resolved to %#v", got)
+	}
+	for _, h := range []trace.History{
+		hist(),
+		hist("c[0]", []int64{1, 2}, "c[1]", []int64{1}),
+		hist("c[0]", []int64{1}, "c[1]", []int64{2}),
+		hist("c[0]", []int64{1}, "c[1]", []int64{1, 2, 3}),
+	} {
+		want, wantErr := assertion.Eval(a, ctx(t, h))
+		got, err := assertion.Eval(r, ctx(t, h))
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("under %s: resolved form gives %v, %v; original %v, %v", h, got, err, want, wantErr)
+		}
+	}
+	var plain assertion.A = assertion.And{
+		L: assertion.PrefixLE(assertion.Apply{Fn: "f", Args: []assertion.Term{assertion.Chan("wire")}}, assertion.Chan("input")),
+		R: assertion.ForAllRange{Var: "j", Lo: assertion.Int(0), Hi: assertion.Int(1),
+			Body: assertion.Cmp{Op: assertion.CLe, L: assertion.Len{S: assertion.ChanIdx("c", assertion.Var("j"))}, R: assertion.Int(1)}},
+	}
+	if allocs := testing.AllocsPerRun(10, func() { assertion.ResolveChans(plain) }); allocs != 0 {
+		t.Errorf("ResolveChans allocates %v times on %s, which has no literal subscript", allocs, plain)
 	}
 }

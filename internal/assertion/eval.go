@@ -185,6 +185,36 @@ func EvalTerm(t Term, ctx *Ctx) (value.V, error) {
 	}
 }
 
+// ResolveChans returns a with every channel reference whose subscript is
+// an integer literal, such as eat[0], replaced by a plain reference to the
+// channel it names, so that evaluating the result does not resolve the
+// name again on every history. The result renders and evaluates exactly as
+// a does; it is a itself when a has no such reference. It is for
+// evaluation only: the substitutions of §2.1 match an array reference by
+// its subscript.
+func ResolveChans(a A) A {
+	if !anyTerm(a, literalSub) {
+		return a
+	}
+	return mapFormula(a, func(t Term) Term {
+		if literalSub(t) {
+			return ChanT{Name: chanKey(t.(ChanT))}
+		}
+		return t
+	})
+}
+
+// literalSub reports whether t is a channel reference subscripted by an
+// integer literal.
+func literalSub(t Term) bool {
+	x, ok := t.(ChanT)
+	if !ok || x.Sub == nil {
+		return false
+	}
+	lit, ok := x.Sub.(Lit)
+	return ok && lit.Val.Kind() == value.KindInt
+}
+
 func evalChanName(x ChanT, ctx *Ctx) (trace.Chan, error) {
 	if x.Sub == nil {
 		return trace.Chan(x.Name), nil

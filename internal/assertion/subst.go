@@ -51,6 +51,73 @@ func mapTerm(t Term, f func(Term) Term) Term {
 	}
 }
 
+// anyTerm reports whether p holds for some term of the formula that
+// mapFormula would hand its function, without building anything.
+func anyTerm(a A, p func(Term) bool) bool {
+	switch x := a.(type) {
+	case Cmp:
+		return anyIn(x.L, p) || anyIn(x.R, p)
+	case Not:
+		return anyTerm(x.Body, p)
+	case And:
+		return anyTerm(x.L, p) || anyTerm(x.R, p)
+	case Or:
+		return anyTerm(x.L, p) || anyTerm(x.R, p)
+	case Implies:
+		return anyTerm(x.L, p) || anyTerm(x.R, p)
+	case ForAllSet:
+		return anyTerm(x.Body, p)
+	case ExistsSet:
+		return anyTerm(x.Body, p)
+	case ForAllRange:
+		return anyIn(x.Lo, p) || anyIn(x.Hi, p) || anyTerm(x.Body, p)
+	case ExistsRange:
+		return anyIn(x.Lo, p) || anyIn(x.Hi, p) || anyTerm(x.Body, p)
+	case Pred:
+		for _, t := range x.Args {
+			if anyIn(t, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// anyIn reports whether p holds for t or a term inside it, where mapTerm
+// would look.
+func anyIn(t Term, p func(Term) bool) bool {
+	if p(t) {
+		return true
+	}
+	switch x := t.(type) {
+	case Cons:
+		return anyIn(x.Head, p) || anyIn(x.Tail, p)
+	case SeqLit:
+		for _, e := range x.Elems {
+			if anyIn(e, p) {
+				return true
+			}
+		}
+	case Cat:
+		return anyIn(x.L, p) || anyIn(x.R, p)
+	case Len:
+		return anyIn(x.S, p)
+	case At:
+		return anyIn(x.S, p) || anyIn(x.Idx, p)
+	case Arith:
+		return anyIn(x.L, p) || anyIn(x.R, p)
+	case Sum:
+		return anyIn(x.Lo, p) || anyIn(x.Hi, p) || anyIn(x.Body, p)
+	case Apply:
+		for _, e := range x.Args {
+			if anyIn(e, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // mapFormula applies tf to every term of the formula, respecting nothing —
 // binder handling is layered on by the specific substitutions below.
 func mapFormula(a A, tf func(Term) Term) A {

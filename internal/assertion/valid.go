@@ -1,10 +1,12 @@
 package assertion
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
+	"cspsat/internal/pool"
 	"cspsat/internal/sem"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
@@ -38,9 +40,9 @@ type ValidityConfig struct {
 	// VarDom gives the domain of each free variable; free variables
 	// without an entry use DefaultDom.
 	VarDom map[string]value.Domain
-	// MaxCases caps the total number of (history, assignment) cases
-	// evaluated; exceeding it is an error rather than a silent pass.
-	// Zero means 1<<22.
+	// MaxCases caps the number of (history, assignment) cases, counted
+	// before the search however few of them it evaluates; exceeding it is
+	// an error rather than a silent pass. Zero means 1<<22.
 	MaxCases int
 }
 
@@ -93,10 +95,20 @@ func (c *Counterexample) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Valid exhaustively checks the assertion over all bounded histories of its
-// free channels and all bounded assignments of its free variables. It
-// returns nil when no counterexample exists within the bounds.
-func Valid(a A, cfg ValidityConfig) (*Counterexample, error) {
+// Valid decides the assertion over every history of its free channels up
+// to MaxLen and every assignment of its free variables from their domains.
+// It returns nil when no case falsifies it. Otherwise it reports the least
+// case that falsifies it, or the error of the least case whose evaluation
+// fails, where cases are numbered in mixed radix: the channels in name
+// order, then the variables in name order, the first channel varying
+// fastest and each history list shortest first.
+//
+// An implication A => B is decided by a pruned depth-first search (see
+// search); any other formula by walking the cases in that order up to the
+// first failing one. Once ctx is done, Valid returns an error wrapping
+// csperr.ErrCanceled; it looks every few thousand evaluations, and a nil
+// ctx never cancels.
+func Valid(ctx context.Context, a A, cfg ValidityConfig) (*Counterexample, error) {
 	chans, err := concreteChans(a)
 	if err != nil {
 		return nil, err
@@ -134,55 +146,312 @@ func Valid(a A, cfg ValidityConfig) (*Counterexample, error) {
 		chanSeqs[i] = allSeqs(alphabet, maxLen, seqCount(len(alphabet), maxLen, limit))
 	}
 
-	idxC := make([]int, len(chans))
-	idxV := make([]int, len(vars))
 	funcs := cfg.Funcs
 	if funcs == nil {
 		funcs = NewRegistry()
 	}
+	s := &search{ctx: ctx, a: a, chans: chans, vars: vars, chanSeqs: chanSeqs, varVals: varVals}
+	s.prepare(cfg.Env, funcs)
+	if s.holds(0) {
+		s.visit(0)
+	}
+	return s.result()
+}
+
+// cancelEvery is how many evaluations Valid makes between two looks at its
+// context.
+const cancelEvery = 4096
+
+// search is one Valid call's depth-first walk over the case space.
+//
+// Slots number the case's coordinates: slot i < len(chans) is channel i,
+// slot len(chans)+j is variable j, and a higher slot is more significant
+// in the order cases are numbered by. The walk binds one slot per depth,
+// in the order plan picks. A = A1 & … & Ak => B is evaluated as Eval
+// would, conjunct by conjunct: Ai is due at the first depth where its
+// slots and those of every earlier conjunct are bound, and is evaluated
+// only where A1 … A(i-1) held. Where Ai is false, no case below the node
+// falsifies the formula, so the walk skips the subtree. Where Ai fails,
+// every case below fails with the same error, the least of them being the
+// one that takes index 0 in every unbound slot. B is evaluated at the
+// leaves. The walk keeps the least failing case it has met and skips every
+// subtree whose cases all come after it, so the case it reports is the
+// least of all failing cases: the one the numbered walk stops at.
+//
+// Any other formula is the consequent of an empty antecedent. Its slots
+// are bound most significant first, so the walk meets the cases in their
+// numbered order and stops at the first failing one.
+type search struct {
+	ctx      context.Context
+	a        A   // the formula as given, for the error text
+	conj     []A // the antecedent's conjuncts, in Eval's order
+	cons     A   // the consequent, or the whole formula
+	chans    []trace.Chan
+	vars     []string
+	chanSeqs [][][]value.V
+	varVals  [][]value.V
+
+	order   []int // order[d] is the slot bound at depth d
+	pos     []int // pos[slot] is the depth that binds slot
+	due     [][]A // due[d] holds the conjuncts evaluated once depths < d are bound
+	hist    trace.History
+	ctxs    []Ctx // ctxs[d] binds the variables of depths < d
+	idx     []int // idx[slot] indexes the slot's current value
+	best    []int // the least failing case met, nil before the first
+	spare   []int // scratch for record
+	bestErr error // best's evaluation error; nil when it is a counterexample
+
+	evals, nextLook int
+	err             error // cancellation
+}
+
+// prepare sizes the walk's state, splits the formula into antecedent
+// conjuncts and consequent, and plans the binding order.
+func (s *search) prepare(env sem.Env, funcs *Registry) {
+	n := len(s.chans) + len(s.vars)
+	s.pos = make([]int, n)
+	s.due = make([][]A, n+1)
+	s.idx = make([]int, n)
+	s.hist = make(trace.History, len(s.chans))
+	for i, ch := range s.chans {
+		s.hist[ch] = s.chanSeqs[i][0]
+	}
+	s.ctxs = make([]Ctx, n+1)
+	s.ctxs[0] = Ctx{Env: env, Hist: s.hist, Funcs: funcs}
+	s.nextLook = cancelEvery
+	s.cons = s.a
 	for {
-		hist := make(trace.History, len(chans))
-		for i, ch := range chans {
-			hist[ch] = chanSeqs[i][idxC[i]]
-		}
-		ctx := NewCtx(cfg.Env, hist, funcs)
-		assign := map[string]value.V{}
-		for i, v := range vars {
-			val := varVals[i][idxV[i]]
-			ctx = ctx.Bind(v, val)
-			assign[v] = val
-		}
-		ok, err := Eval(a, ctx)
-		if err != nil {
-			return nil, fmt.Errorf("assertion: evaluating %s under %s: %w", a, hist, err)
-		}
+		imp, ok := s.cons.(Implies)
 		if !ok {
-			return &Counterexample{Hist: hist, Vars: assign}, nil
+			break
 		}
-		if !advance(idxC, chanSeqs, idxV, varVals) {
-			return nil, nil
+		s.conj = appendConjuncts(s.conj, imp.L)
+		s.cons = imp.R
+	}
+	s.plan()
+}
+
+// appendConjuncts flattens nested conjunctions left to right, the order in
+// which Eval meets them.
+func appendConjuncts(out []A, a A) []A {
+	if and, ok := a.(And); ok {
+		return appendConjuncts(appendConjuncts(out, and.L), and.R)
+	}
+	return append(out, a)
+}
+
+// plan orders the slots: each conjunct's unbound slots in turn, most
+// significant first, then the remaining slots most significant first.
+func (s *search) plan() {
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
+	place := func(slot int) {
+		if s.pos[slot] < 0 {
+			s.pos[slot] = len(s.order)
+			s.order = append(s.order, slot)
+		}
+	}
+	at := 0
+	for _, f := range s.conj {
+		slots := s.slotsOf(f)
+		for slot := len(slots) - 1; slot >= 0; slot-- {
+			if slots[slot] {
+				place(slot)
+				at = max(at, s.pos[slot]+1)
+			}
+		}
+		s.due[at] = append(s.due[at], f)
+	}
+	for slot := len(s.pos) - 1; slot >= 0; slot-- {
+		place(slot)
+	}
+}
+
+// slotsOf marks the slots f's value can depend on. Unlike FreeChans it
+// looks inside the subscripts of channel and constant-array references:
+// K[#a] depends on a. A channel reference with a symbolic subscript there,
+// as in K[#c[#a]], can name any channel, so it marks every channel.
+// FreeVars does not look inside the set expressions of ∀x∈S and ∃x∈S, so a
+// formula that has one depends on every variable.
+func (s *search) slotsOf(f A) []bool {
+	slots := make([]bool, len(s.pos))
+	var mark func(t Term) bool
+	mark = func(t Term) bool {
+		var sub Term
+		switch x := t.(type) {
+		case ChanT:
+			key := chanKey(x)
+			for i, ch := range s.chans {
+				slots[i] = slots[i] || string(ch) == key || strings.HasSuffix(key, "[*]")
+			}
+			sub = x.Sub
+		case ConstIndex:
+			sub = x.Sub
+		}
+		if sub != nil {
+			anyIn(sub, mark)
+		}
+		return false
+	}
+	anyTerm(f, mark)
+	fv, anyVar := FreeVars(f), hasSetQuant(f)
+	for j, v := range s.vars {
+		slots[len(s.chans)+j] = anyVar || fv[v]
+	}
+	return slots
+}
+
+func hasSetQuant(a A) bool {
+	switch x := a.(type) {
+	case ForAllSet, ExistsSet:
+		return true
+	case Not:
+		return hasSetQuant(x.Body)
+	case And:
+		return hasSetQuant(x.L) || hasSetQuant(x.R)
+	case Or:
+		return hasSetQuant(x.L) || hasSetQuant(x.R)
+	case Implies:
+		return hasSetQuant(x.L) || hasSetQuant(x.R)
+	case ForAllRange:
+		return hasSetQuant(x.Body)
+	case ExistsRange:
+		return hasSetQuant(x.Body)
+	}
+	return false
+}
+
+// visit binds depth d to each of its slot's values in turn, and the depths
+// below it, where the due conjuncts hold.
+func (s *search) visit(d int) {
+	if d == len(s.order) {
+		if ok, err := s.eval(s.cons, d); err != nil || !ok {
+			s.record(d, err)
+		}
+		return
+	}
+	slot := s.order[d]
+	ch := slot < len(s.chans)
+	s.ctxs[d+1] = s.ctxs[d]
+	for v := range s.size(slot) {
+		if s.evals >= s.nextLook {
+			s.nextLook = s.evals + cancelEvery
+			if s.err = pool.Canceled(s.ctx); s.err != nil {
+				return
+			}
+		}
+		s.idx[slot] = v
+		if s.best != nil && s.beyond(d) {
+			break
+		}
+		if ch {
+			s.hist[s.chans[slot]] = s.chanSeqs[slot][v]
+		} else {
+			j := slot - len(s.chans)
+			s.ctxs[d+1].Env = s.ctxs[d].Env.Bind(s.vars[j], s.varVals[j][v])
+		}
+		if s.holds(d + 1) {
+			s.visit(d + 1)
+		}
+		if s.err != nil {
+			return
 		}
 	}
 }
 
-// advance increments the mixed-radix counter over (channel seqs, var vals);
-// it returns false when the space is exhausted.
-func advance(idxC []int, chanSeqs [][][]value.V, idxV []int, varVals [][]value.V) bool {
-	for i := range idxC {
-		idxC[i]++
-		if idxC[i] < len(chanSeqs[i]) {
-			return true
-		}
-		idxC[i] = 0
+func (s *search) size(slot int) int {
+	if slot < len(s.chans) {
+		return len(s.chanSeqs[slot])
 	}
-	for i := range idxV {
-		idxV[i]++
-		if idxV[i] < len(varVals[i]) {
-			return true
+	return len(s.varVals[slot-len(s.chans)])
+}
+
+// holds evaluates the conjuncts due once depths < d are bound, in order,
+// and reports whether they all hold. A failing one is recorded.
+func (s *search) holds(d int) bool {
+	for _, f := range s.due[d] {
+		ok, err := s.eval(f, d)
+		if err != nil {
+			s.record(d, err)
+			return false
 		}
-		idxV[i] = 0
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *search) eval(f A, d int) (bool, error) {
+	s.evals++
+	return Eval(f, &s.ctxs[d])
+}
+
+// beyond reports whether every case that extends the bound depths ≤ d
+// comes after the least failing case met so far.
+func (s *search) beyond(d int) bool {
+	for slot := len(s.idx) - 1; slot >= 0; slot-- {
+		switch {
+		case s.pos[slot] > d:
+			return false
+		case s.idx[slot] != s.best[slot]:
+			return s.idx[slot] > s.best[slot]
+		}
+	}
+	return true
+}
+
+// record notes that every case extending depths < d fails, with err or
+// (when err is nil) by falsifying the formula, and keeps the least of them
+// if it precedes the best so far.
+func (s *search) record(d int, err error) {
+	if s.spare == nil {
+		s.spare = make([]int, len(s.idx))
+	}
+	c := s.spare
+	for slot := range c {
+		c[slot] = 0
+		if s.pos[slot] < d {
+			c[slot] = s.idx[slot]
+		}
+	}
+	if s.best != nil && !precedes(c, s.best) {
+		return
+	}
+	s.best, s.spare, s.bestErr = c, s.best, err
+}
+
+// precedes reports whether case a comes before case b.
+func precedes(a, b []int) bool {
+	for slot := len(a) - 1; slot >= 0; slot-- {
+		if a[slot] != b[slot] {
+			return a[slot] < b[slot]
+		}
 	}
 	return false
+}
+
+// result renders the least failing case, if any.
+func (s *search) result() (*Counterexample, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if s.best == nil {
+		return nil, nil
+	}
+	hist := make(trace.History, len(s.chans))
+	for i, ch := range s.chans {
+		hist[ch] = s.chanSeqs[i][s.best[i]]
+	}
+	if s.bestErr != nil {
+		return nil, fmt.Errorf("assertion: evaluating %s under %s: %w", s.a, hist, s.bestErr)
+	}
+	assign := make(map[string]value.V, len(s.vars))
+	for j, v := range s.vars {
+		assign[v] = s.varVals[j][s.best[len(s.chans)+j]]
+	}
+	return &Counterexample{Hist: hist, Vars: assign}, nil
 }
 
 // seqCount is how many sequences of length ≤ maxLen there are over k

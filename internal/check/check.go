@@ -130,11 +130,13 @@ func (c *Checker) Sat(p syntax.Proc, a assertion.A) (Result, error) {
 	// recomputed as ch(s) per trace: push appends the message, pop trims it.
 	hist := make(trace.History)
 	ctx := assertion.NewCtx(c.env, hist, c.funcs)
+	// Name channels such as eat[0] once, not once per trace.
+	resolved := assertion.ResolveChans(a)
 	var evalErr error
 	traces.WalkDFS(
 		func(path trace.T) bool {
 			res.TracesChecked++
-			ok, err := assertion.Eval(a, ctx)
+			ok, err := assertion.Eval(resolved, ctx)
 			if err != nil {
 				evalErr = fmt.Errorf("check: evaluating %s after %s: %w", a, path, err)
 				return false

@@ -6,6 +6,7 @@ import (
 	"cspsat/internal/assertion"
 	"cspsat/internal/check"
 	"cspsat/internal/paper"
+	"cspsat/internal/parser"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/value"
@@ -155,5 +156,35 @@ func TestRefinementAndEquivalence(t *testing.T) {
 	}
 	if r.OK {
 		t.Fatal("copier must not refine STOP")
+	}
+}
+
+// TestSatSubscriptedChannels pins what Sat reports for assertions over
+// channel-array elements named by literal subscripts, which it resolves
+// once per call: the verdict, the counterexample and the error text.
+func TestSatSubscriptedChannels(t *testing.T) {
+	f, err := parser.Parse(`
+relay = c[0]?x:{0..1} -> c[1]!x -> relay
+assert relay sat c[1] <= c[0]
+assert relay sat c[0] <= c[1]
+assert relay sat c[1][1] == c[0][1]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := check.New(sem.NewEnv(f.Module, 2), nil, 4)
+	for i, want := range []string{
+		"sat holds on all 13 traces up to depth 4",
+		"sat VIOLATED: trace <c[0].0> gives c[0]=<0> (after 2 traces, depth 4)",
+		"error: check: evaluating c[1][1] == c[0][1] after <>: assertion: index 1 out of range 1..0",
+	} {
+		res, err := c.Sat(f.Asserts[i].Proc, f.Asserts[i].A)
+		got := res.String()
+		if err != nil {
+			got = "error: " + err.Error()
+		}
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", f.Asserts[i], got, want)
+		}
 	}
 }

@@ -544,7 +544,7 @@ func (c *Checker) discharge(a assertion.A, sc scope) error {
 		}
 		cfg.VarDom[v] = d
 	}
-	cex, err := assertion.Valid(a, cfg)
+	cex, err := assertion.Valid(c.Ctx, a, cfg)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,15 @@
 package proof_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cspsat/internal/assertion"
+	"cspsat/internal/csperr"
 	"cspsat/internal/paper"
 	"cspsat/internal/proof"
 	"cspsat/internal/sem"
@@ -71,6 +75,32 @@ func TestTrivialityRule(t *testing.T) {
 		T: assertion.PrefixLE(assertion.Chan("wire"), assertion.Chan("input")),
 	}); err == nil {
 		t.Error("falsifiable T accepted by triviality")
+	}
+}
+
+// TestDischargeCanceled checks that a side condition is discharged under
+// the checker's context: an obligation of 3,796,416 cases over the
+// server's default domain, which no pruning shortens, gives up soon after
+// a 20ms deadline.
+func TestDischargeCanceled(t *testing.T) {
+	c := proof.NewChecker(sem.NewEnv(paper.CopySystem(), 3), nil)
+	c.Validity = assertion.ValidityConfig{
+		MaxLen:     3,
+		DefaultDom: value.Union{A: value.Nat{SampleWidth: 3}, B: value.NewEnum(value.Sym("ACK"), value.Sym("NACK"))},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	c.Ctx = ctx
+	lens := assertion.Arith{Op: assertion.AAdd,
+		L: assertion.Arith{Op: assertion.AAdd, L: assertion.Len{S: assertion.Chan("a")}, R: assertion.Len{S: assertion.Chan("b")}},
+		R: assertion.Len{S: assertion.Chan("c")}}
+	start := time.Now()
+	_, err := c.Check(proof.Triviality{P: syntax.Stop{}, T: assertion.Cmp{Op: assertion.CGe, L: lens, R: assertion.Int(0)}})
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("Check returned %v after its 20ms deadline", took)
+	}
+	if !errors.Is(err, csperr.ErrCanceled) {
+		t.Fatalf("Check: got %v, want an error wrapping ErrCanceled", err)
 	}
 }
 

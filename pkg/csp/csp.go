@@ -356,9 +356,13 @@ type Module struct {
 
 	// parse guards the lazy parse; the fields below it are set once by
 	// parsed (or by FromModule) and read-only afterwards.
-	parse    sync.Once
-	syn      *syntax.Module
-	asserts  []AssertDecl
+	parse   sync.Once
+	syn     *syntax.Module
+	asserts []AssertDecl
+	// satForms[i] is asserts[i].A with its literal channel subscripts
+	// resolved (assertion.ResolveChans), built once so that checking a
+	// resident module's asserts again does not rebuild them.
+	satForms []Assertion
 	env      sem.Env
 	funcs    *assertion.Registry
 	parseErr error
@@ -390,6 +394,10 @@ func (m *Module) parsed() error {
 		}
 		m.setSyntax(f.Module)
 		m.asserts = f.Asserts
+		m.satForms = make([]Assertion, len(f.Asserts))
+		for i, decl := range f.Asserts {
+			m.satForms[i] = assertion.ResolveChans(decl.A)
+		}
 	})
 	return m.parseErr
 }
@@ -723,7 +731,7 @@ func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResul
 			}
 			out[i] = AssertResult{Decl: decl, Refine: &rr}
 		} else {
-			res, err := m.checkQuantified(ck, decl.Quants, decl.Proc, decl.A)
+			res, err := m.checkQuantified(ck, decl.Quants, decl.Proc, m.satForms[i])
 			if err != nil {
 				return fmt.Errorf("core: %s: %w", decl, err)
 			}

@@ -79,7 +79,9 @@ func listing(tb testing.TB, c wireCase) *csp.TraceResult {
 // TestDigestAllocs bounds the journal digest's allocations on served
 // bodies. Decoding into `any` and marshalling again took about 26,100 on
 // the multiplier listing and 284 on the buffers check; one pass over the
-// bytes takes one, the hex string, however large the body.
+// bytes takes one, the hex string, however large the body. The digest's
+// normalizer comes from a sync.Pool, which the race detector empties at
+// random, so under it the digests run but the bound is not enforced.
 func TestDigestAllocs(t *testing.T) {
 	for _, g := range []struct {
 		c     wireCase
@@ -89,7 +91,7 @@ func TestDigestAllocs(t *testing.T) {
 		{wireCases[2], 8},
 	} {
 		body := servedBody(t, g.c)
-		if got := testing.AllocsPerRun(20, func() { journal.Digest(body) }); got > g.bound {
+		if got := testing.AllocsPerRun(20, func() { journal.Digest(body) }); got > g.bound && !raceEnabled {
 			t.Errorf("%s: Digest of %d bytes allocates %v, want at most %v", g.c.name, len(body), got, g.bound)
 		}
 	}
