@@ -283,17 +283,38 @@ func TestSubstitutions(t *testing.T) {
 		t.Errorf("SubstChanCons = %q", got)
 	}
 	// R[3/x].
-	inst := assertion.SubstVar(r, "x", assertion.Int(3))
-	if got := inst.String(); got != "f(wire) <= 3^input" {
-		t.Errorf("SubstVar = %q", got)
+	inst, err := assertion.SubstVar(r, "x", assertion.Int(3))
+	if err != nil || inst.String() != "f(wire) <= 3^input" {
+		t.Errorf("SubstVar = %v, %v", inst, err)
 	}
 	// Substitution respects binders.
 	q := assertion.ForAllRange{Var: "x", Lo: assertion.Int(1), Hi: assertion.Var("x"),
 		Body: assertion.Eq(assertion.Var("x"), assertion.Var("x"))}
-	qi := assertion.SubstVar(q, "x", assertion.Int(9))
+	qi, err := assertion.SubstVar(q, "x", assertion.Int(9))
 	want := "forall x:1..9. x == x"
-	if qi.String() != want {
-		t.Errorf("binder subst = %q, want %q", qi.String(), want)
+	if err != nil || qi.String() != want {
+		t.Errorf("binder subst = %v, %v, want %q", qi, err, want)
+	}
+	// The substitutions reach into constant-array subscripts.
+	k := assertion.Eq(assertion.ConstIndex{Name: "K", Sub: assertion.Len{S: assertion.Chan("wire")}}, assertion.Var("x"))
+	if got := assertion.EmptyAllChans(k).String(); got != "K[#<>] == x" {
+		t.Errorf("EmptyAllChans(%s) = %q", k, got)
+	}
+	if got, err := assertion.SubstChanCons(k, "wire", assertion.Var("v")); err != nil || got.String() != "K[#(v^wire)] == x" {
+		t.Errorf("SubstChanCons(%s) = %v, %v", k, got, err)
+	}
+	// A substitution that a binder would capture is refused.
+	under := func(body assertion.A) assertion.A {
+		return assertion.ForAllRange{Var: "v", Lo: assertion.Int(0), Hi: assertion.Int(1), Body: body}
+	}
+	if got, err := assertion.SubstChanCons(under(assertion.PrefixLE(assertion.Chan("wire"), assertion.Var("v"))), "wire", assertion.Var("v")); err == nil {
+		t.Errorf("SubstChanCons let the binder of v capture v: %s", got)
+	}
+	if got, err := assertion.SubstVar(under(assertion.Eq(assertion.Var("x"), assertion.Var("v"))), "x", assertion.Var("v")); err == nil {
+		t.Errorf("SubstVar let the binder of v capture v: %s", got)
+	}
+	if got, err := assertion.SubstVar(under(assertion.Eq(assertion.Var("x"), assertion.Var("v"))), "x", assertion.Var("w")); err != nil || got.String() != "forall v:0..1. w == v" {
+		t.Errorf("SubstVar = %v, %v", got, err)
 	}
 }
 
@@ -333,6 +354,15 @@ func TestFreeChansAndVars(t *testing.T) {
 	vars := assertion.FreeVars(a)
 	if !vars["k"] || !vars["j"] || vars["i"] {
 		t.Errorf("FreeVars = %v", vars)
+	}
+	// A channel or variable only inside a constant-array subscript is free.
+	k := assertion.Eq(assertion.ConstIndex{Name: "K", Sub: assertion.Arith{Op: assertion.AAdd,
+		L: assertion.Len{S: assertion.Chan("a")}, R: assertion.Var("y")}}, assertion.Int(1))
+	if chans := assertion.FreeChans(k); !chans["a"] || len(chans) != 1 {
+		t.Errorf("FreeChans(%s) = %v", k, chans)
+	}
+	if vars := assertion.FreeVars(k); !vars["y"] || len(vars) != 1 {
+		t.Errorf("FreeVars(%s) = %v", k, vars)
 	}
 }
 

@@ -193,26 +193,12 @@ func EvalTerm(t Term, ctx *Ctx) (value.V, error) {
 // evaluation only: the substitutions of §2.1 match an array reference by
 // its subscript.
 func ResolveChans(a A) A {
-	if !anyTerm(a, literalSub) {
-		return a
-	}
-	return mapFormula(a, func(t Term) Term {
-		if literalSub(t) {
-			return ChanT{Name: chanKey(t.(ChanT))}
+	return rewriteFormula(a, nil, func(t Term, _ bool) Term {
+		if x, ok := t.(ChanT); ok && literalSub(x) {
+			return ChanT{Name: chanKey(x)}
 		}
-		return t
+		return nil
 	})
-}
-
-// literalSub reports whether t is a channel reference subscripted by an
-// integer literal.
-func literalSub(t Term) bool {
-	x, ok := t.(ChanT)
-	if !ok || x.Sub == nil {
-		return false
-	}
-	lit, ok := x.Sub.(Lit)
-	return ok && lit.Val.Kind() == value.KindInt
 }
 
 func evalChanName(x ChanT, ctx *Ctx) (trace.Chan, error) {

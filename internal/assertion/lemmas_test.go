@@ -115,7 +115,10 @@ func TestLemmaA_VarSubstitution(t *testing.T) {
 			assertion.Cons{Head: assertion.Var("x"), Tail: in}),
 	}
 	for _, v := range []int64{0, 1, 5} {
-		subst := assertion.SubstVar(withX, "x", assertion.Int(v))
+		subst, err := assertion.SubstVar(withX, "x", assertion.Int(v))
+		if err != nil {
+			t.Fatalf("SubstVar: %v", err)
+		}
 		if err := quick.Check(func(q qhist) bool {
 			lhs := evalUnder(t, subst, q.H)
 			ctx := assertion.NewCtx(sem.NewEnv(syntax.NewModule(), 3), q.H, nil).

@@ -268,34 +268,16 @@ func (s *search) plan() {
 	}
 }
 
-// slotsOf marks the slots f's value can depend on. Unlike FreeChans it
-// looks inside the subscripts of channel and constant-array references:
-// K[#a] depends on a. A channel reference with a symbolic subscript there,
-// as in K[#c[#a]], can name any channel, so it marks every channel.
-// FreeVars does not look inside the set expressions of ∀x∈S and ∃x∈S, so a
-// formula that has one depends on every variable.
+// slotsOf marks the slots f's value can depend on: its channels, which
+// Valid has made sure are all concrete, and its free variables. FreeVars
+// does not look inside the set expressions of ∀x∈S and ∃x∈S, so a formula
+// that has one depends on every variable.
 func (s *search) slotsOf(f A) []bool {
 	slots := make([]bool, len(s.pos))
-	var mark func(t Term) bool
-	mark = func(t Term) bool {
-		var sub Term
-		switch x := t.(type) {
-		case ChanT:
-			key := chanKey(x)
-			for i, ch := range s.chans {
-				slots[i] = slots[i] || string(ch) == key || strings.HasSuffix(key, "[*]")
-			}
-			sub = x.Sub
-		case ConstIndex:
-			sub = x.Sub
-		}
-		if sub != nil {
-			anyIn(sub, mark)
-		}
-		return false
+	fc, fv, anyVar := FreeChans(f), FreeVars(f), hasSetQuant(f)
+	for i, ch := range s.chans {
+		slots[i] = fc[string(ch)]
 	}
-	anyTerm(f, mark)
-	fv, anyVar := FreeVars(f), hasSetQuant(f)
 	for j, v := range s.vars {
 		slots[len(s.chans)+j] = anyVar || fv[v]
 	}

@@ -110,11 +110,11 @@ type synth struct {
 	fresh int
 }
 
-// freshVar returns a variable name free in both the process and the
-// assertion.
+// freshVar returns a variable name not free in the process and nowhere in
+// the assertion, as the input rule requires.
 func (s *synth) freshVar(p syntax.Proc, a assertion.A) string {
 	pv := syntax.FreeVarsProc(p)
-	av := assertion.FreeVars(a)
+	av := assertion.VarNames(a)
 	for {
 		v := "v" + strconv.Itoa(s.fresh)
 		s.fresh++
@@ -218,7 +218,10 @@ func (s *synth) proveRef(r syntax.Ref, target assertion.A, unfolds int) (proof.P
 		instA := hyp.A
 		for i, q := range hyp.Quants {
 			if i < len(insts) {
-				instA = assertion.SubstVar(instA, q.Var, insts[i])
+				var err error
+				if instA, err = assertion.SubstVar(instA, q.Var, insts[i]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		cite := proof.Proof(proof.Hypothesis{Name: r.Name, Insts: insts})

@@ -81,7 +81,11 @@ func TestProtocolSatisfiesPaperClaims(t *testing.T) {
 		// each instance q[v] sat R[v/x] is checked on its own.
 		for v := int64(0); v <= 1; v++ {
 			q := syntax.Ref{Name: paper.NameQ, Sub: syntax.IntLit{Val: v}}
-			res, err := c.Sat(q, assertion.SubstVar(paper.QSat(), "x", assertion.Lit{Val: value.Int(v)}))
+			a, err := assertion.SubstVar(paper.QSat(), "x", assertion.Lit{Val: value.Int(v)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Sat(q, a)
 			if err != nil {
 				t.Fatalf("Sat x=%d: %v", v, err)
 			}

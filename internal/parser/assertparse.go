@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 
 	"cspsat/internal/assertion"
 	"cspsat/internal/model"
@@ -537,11 +538,7 @@ func (p *parser) resolveAsserts() error {
 		if p.asserts[i].A == nil {
 			continue // a refinement assert has no formula to resolve
 		}
-		bound := map[string]bool{}
-		for _, q := range p.asserts[i].Quants {
-			bound[q.Var] = true
-		}
-		a, err := resolveFormula(p.asserts[i].A, chanNames, p.module, bound)
+		a, err := resolveFormula(p.asserts[i].A, p.asserts[i].Quants, chanNames, p.module)
 		if err != nil {
 			return fmt.Errorf("assert at line %d: %w", p.asserts[i].Line, err)
 		}
@@ -605,144 +602,24 @@ func (p *parser) moduleChanUsage() chanUsage {
 	return u
 }
 
-func resolveFormula(a assertion.A, chans chanUsage, m *syntax.Module, bound map[string]bool) (assertion.A, error) {
-	rt := func(t assertion.Term) (assertion.Term, error) {
-		return resolveTerm(t, chans, m, bound)
-	}
-	switch x := a.(type) {
-	case assertion.BoolA:
-		return x, nil
-	case assertion.Cmp:
-		l, err := rt(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rt(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Cmp{Op: x.Op, L: l, R: r}, nil
-	case assertion.Not:
-		b, err := resolveFormula(x.Body, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Not{Body: b}, nil
-	case assertion.And:
-		l, err := resolveFormula(x.L, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		r, err := resolveFormula(x.R, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.And{L: l, R: r}, nil
-	case assertion.Or:
-		l, err := resolveFormula(x.L, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		r, err := resolveFormula(x.R, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Or{L: l, R: r}, nil
-	case assertion.Implies:
-		l, err := resolveFormula(x.L, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		r, err := resolveFormula(x.R, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Implies{L: l, R: r}, nil
-	case assertion.ForAllSet:
-		b, err := resolveUnder(x.Var, x.Body, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.ForAllSet{Var: x.Var, Dom: x.Dom, Body: b}, nil
-	case assertion.ExistsSet:
-		b, err := resolveUnder(x.Var, x.Body, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.ExistsSet{Var: x.Var, Dom: x.Dom, Body: b}, nil
-	case assertion.ForAllRange:
-		lo, err := rt(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := rt(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		b, err := resolveUnder(x.Var, x.Body, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.ForAllRange{Var: x.Var, Lo: lo, Hi: hi, Body: b}, nil
-	case assertion.ExistsRange:
-		lo, err := rt(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := rt(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		b, err := resolveUnder(x.Var, x.Body, chans, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.ExistsRange{Var: x.Var, Lo: lo, Hi: hi, Body: b}, nil
-	case assertion.Pred:
-		args := make([]assertion.Term, len(x.Args))
-		for i, t := range x.Args {
-			r, err := rt(t)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = r
-		}
-		return assertion.Pred{Name: x.Name, Args: args}, nil
-	case assertion.DeadlockFree:
-		return x, nil
-	case assertion.Offers:
+// resolveFormula resolves the placeholders of an assert's formula by the
+// rules above; quants is the assert's forall prefix.
+func resolveFormula(a assertion.A, quants []Quant, chans chanUsage, m *syntax.Module) (assertion.A, error) {
+	if o, ok := a.(assertion.Offers); ok {
 		// The named channels must be ones the module communicates on —
 		// an assertion about a channel nothing uses is a typo, and it
 		// would hold vacuously forever.
-		for _, c := range x.Chans {
+		for _, c := range o.Chans {
 			if !chans.used[c] {
 				return nil, fmt.Errorf("offers names channel %q which no process uses", c)
 			}
 		}
-		return x, nil
-	default:
-		return nil, fmt.Errorf("parser: cannot resolve formula %T", a)
+		return a, nil
 	}
-}
-
-func resolveUnder(v string, body assertion.A, chans chanUsage, m *syntax.Module, bound map[string]bool) (assertion.A, error) {
-	if bound[v] {
-		return resolveFormula(body, chans, m, bound)
-	}
-	bound[v] = true
-	defer delete(bound, v)
-	return resolveFormula(body, chans, m, bound)
-}
-
-func resolveTerm(t assertion.Term, chans chanUsage, m *syntax.Module, bound map[string]bool) (assertion.Term, error) {
-	rt := func(t assertion.Term) (assertion.Term, error) {
-		return resolveTerm(t, chans, m, bound)
-	}
-	switch x := t.(type) {
-	case assertion.Unresolved:
+	return assertion.Resolve(a, func(x assertion.Unresolved, bound bool) (assertion.Term, error) {
 		if x.Sub == nil {
 			switch {
-			case bound[x.Name]:
+			case bound || slices.ContainsFunc(quants, func(q Quant) bool { return q.Var == x.Name }):
 				return assertion.Var(x.Name), nil
 			case chans.used[x.Name]:
 				return assertion.Chan(x.Name), nil
@@ -752,109 +629,16 @@ func resolveTerm(t assertion.Term, chans chanUsage, m *syntax.Module, bound map[
 				return assertion.Var(x.Name), nil
 			}
 		}
-		sub, err := rt(x.Sub)
-		if err != nil {
-			return nil, err
-		}
 		switch {
 		case chans.array[x.Name]:
-			return assertion.ChanT{Name: x.Name, Sub: sub}, nil
+			return assertion.ChanT{Name: x.Name, Sub: x.Sub}, nil
 		case chans.used[x.Name]:
 			// A subscripted plain channel indexes its history: outputᵢ.
-			return assertion.At{S: assertion.Chan(x.Name), Idx: sub}, nil
+			return assertion.At{S: assertion.Chan(x.Name), Idx: x.Sub}, nil
 		case m.Arrays[x.Name].Name == x.Name:
-			return assertion.ConstIndex{Name: x.Name, Sub: sub}, nil
+			return assertion.ConstIndex{Name: x.Name, Sub: x.Sub}, nil
 		default:
 			return nil, fmt.Errorf("parser: %s[…] is neither a channel nor a constant array", x.Name)
 		}
-	case assertion.Lit, assertion.VarT, assertion.ChanT, assertion.ConstIndex:
-		return t, nil
-	case assertion.Cons:
-		h, err := rt(x.Head)
-		if err != nil {
-			return nil, err
-		}
-		tl, err := rt(x.Tail)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Cons{Head: h, Tail: tl}, nil
-	case assertion.SeqLit:
-		elems := make([]assertion.Term, len(x.Elems))
-		for i, e := range x.Elems {
-			r, err := rt(e)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = r
-		}
-		return assertion.SeqLit{Elems: elems}, nil
-	case assertion.Cat:
-		l, err := rt(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rt(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Cat{L: l, R: r}, nil
-	case assertion.Len:
-		s, err := rt(x.S)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Len{S: s}, nil
-	case assertion.At:
-		s, err := rt(x.S)
-		if err != nil {
-			return nil, err
-		}
-		i, err := rt(x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.At{S: s, Idx: i}, nil
-	case assertion.Arith:
-		l, err := rt(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rt(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Arith{Op: x.Op, L: l, R: r}, nil
-	case assertion.Sum:
-		lo, err := rt(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := rt(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		wasBound := bound[x.Var]
-		bound[x.Var] = true
-		body, err := rt(x.Body)
-		if !wasBound {
-			delete(bound, x.Var)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return assertion.Sum{Var: x.Var, Lo: lo, Hi: hi, Body: body}, nil
-	case assertion.Apply:
-		args := make([]assertion.Term, len(x.Args))
-		for i, a := range x.Args {
-			r, err := rt(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = r
-		}
-		return assertion.Apply{Fn: x.Fn, Args: args}, nil
-	default:
-		return nil, fmt.Errorf("parser: cannot resolve term %T", t)
-	}
+	})
 }

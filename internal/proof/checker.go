@@ -288,14 +288,15 @@ func (c *Checker) checkInput(n InputStep, sc scope) (Claim, error) {
 	if err != nil {
 		return Claim{}, fmt.Errorf("input: schematic channel %s unsupported: %w", n.Ch, err)
 	}
-	// Freshness: v not free in P, R (it may equal the bound x itself).
+	// Freshness: v not free in P (it may equal the bound x itself), and
+	// nowhere in R.
 	if n.Fresh != n.Var {
 		if syntax.FreeVarsProc(n.Body)[n.Fresh] {
 			return Claim{}, fmt.Errorf("input: fresh variable %s is free in the body", n.Fresh)
 		}
 	}
-	if assertion.FreeVars(n.R)[n.Fresh] {
-		return Claim{}, fmt.Errorf("input: fresh variable %s is free in R", n.Fresh)
+	if assertion.VarNames(n.R)[n.Fresh] {
+		return Claim{}, fmt.Errorf("input: fresh variable %s occurs in R", n.Fresh)
 	}
 	ob := assertion.EmptyAllChans(n.R)
 	if err := c.discharge(ob, sc); err != nil {
@@ -314,8 +315,8 @@ func (c *Checker) checkInput(n InputStep, sc scope) (Claim, error) {
 	if err != nil {
 		return Claim{}, err
 	}
-	if !claimsAlphaEqual(prem, want) {
-		return Claim{}, fmt.Errorf("input: premise proves\n  %s\nbut the rule needs\n  %s", prem, want)
+	if err := sameClaim(prem, want); err != nil {
+		return Claim{}, fmt.Errorf("input: %w", err)
 	}
 	return Claim{
 		Proc: syntax.Input{Ch: n.Ch, Var: n.Var, Dom: n.Dom, Cont: n.Body},
@@ -402,8 +403,8 @@ func (c *Checker) checkRecursion(n Recursion, sc scope) (Claim, error) {
 		if err != nil {
 			return Claim{}, fmt.Errorf("recursion(%s): %w", d.Name, err)
 		}
-		if !claimsAlphaEqual(prem, want) {
-			return Claim{}, fmt.Errorf("recursion(%s): premise proves\n  %s\nbut the rule needs\n  %s", d.Name, prem, want)
+		if err := sameClaim(prem, want); err != nil {
+			return Claim{}, fmt.Errorf("recursion(%s): %w", d.Name, err)
 		}
 	}
 	return n.Defs[n.Main].Claim, nil
@@ -458,11 +459,11 @@ func (c *Checker) instantiate(cl Claim, terms []assertion.Term, sc scope) (Claim
 		if err != nil {
 			return Claim{}, fmt.Errorf("forall-elim: %w", err)
 		}
-		out = Claim{
-			Quants: out.Quants[1:],
-			Proc:   syntax.SubstProc(out.Proc, q.Var, e),
-			A:      assertion.SubstVar(out.A, q.Var, t),
+		a, err := assertion.SubstVar(out.A, q.Var, t)
+		if err != nil {
+			return Claim{}, fmt.Errorf("forall-elim: %w", err)
 		}
+		out = Claim{Quants: out.Quants[1:], Proc: syntax.SubstProc(out.Proc, q.Var, e), A: a}
 	}
 	return out, nil
 }
@@ -555,26 +556,39 @@ func (c *Checker) discharge(a assertion.A, sc scope) error {
 	return nil
 }
 
-// Alpha-equality of claims: quantified variables are canonically renamed
-// before structural comparison.
-
-func claimsAlphaEqual(a, b Claim) bool {
-	if len(a.Quants) != len(b.Quants) {
-		return false
+// sameClaim checks that a premise proves the claim a rule needs, up to the
+// names of the quantified variables, which both claims have canonically
+// renamed before they are compared.
+func sameClaim(prem, want Claim) error {
+	if len(prem.Quants) == len(want.Quants) {
+		cp, err := canonClaim(prem)
+		if err != nil {
+			return err
+		}
+		cw, err := canonClaim(want)
+		if err != nil {
+			return err
+		}
+		if reflect.DeepEqual(cp, cw) {
+			return nil
+		}
 	}
-	ca, cb := canonClaim(a), canonClaim(b)
-	return reflect.DeepEqual(ca, cb)
+	return fmt.Errorf("premise proves\n  %s\nbut the rule needs\n  %s", prem, want)
 }
 
-func canonClaim(c Claim) Claim {
+func canonClaim(c Claim) (Claim, error) {
 	out := Claim{Quants: make([]Quant, len(c.Quants)), Proc: c.Proc, A: c.A}
 	for i, q := range c.Quants {
 		fresh := "$" + strconv.Itoa(i)
 		out.Quants[i] = Quant{Var: fresh, Dom: q.Dom}
 		out.Proc = syntax.SubstProc(out.Proc, q.Var, syntax.Var{Name: fresh})
-		out.A = assertion.SubstVar(out.A, q.Var, assertion.Var(fresh))
+		a, err := assertion.SubstVar(out.A, q.Var, assertion.Var(fresh))
+		if err != nil {
+			return Claim{}, err
+		}
+		out.A = a
 	}
-	return out
+	return out, nil
 }
 
 func claimFreeVars(c Claim) map[string]bool {

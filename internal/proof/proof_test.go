@@ -209,6 +209,21 @@ func TestInputRuleFreshnessConditions(t *testing.T) {
 	if _, err := c.Check(bad2); err == nil || !strings.Contains(err.Error(), "fresh") {
 		t.Errorf("freshness-in-R violation not reported: %v", err)
 	}
+	// Fresh variable bound in R: R[v⌢input/input] would put v under R's
+	// own binder of v, and this premise proves the false claim so made.
+	seqOfV := assertion.SeqLit{Elems: []assertion.Term{assertion.Var("v")}}
+	five := syntax.EnumSet{Elems: []syntax.Expr{syntax.IntLit{Val: 5}}}
+	bits := syntax.RangeSet{Lo: syntax.IntLit{Val: 0}, Hi: syntax.IntLit{Val: 1}}
+	bound := assertion.ForAllSet{Var: "v", Dom: five, Body: assertion.PrefixLE(assertion.Chan("input"), seqOfV)}
+	captured := bound
+	captured.Body = assertion.PrefixLE(assertion.Cons{Head: assertion.Var("v"), Tail: assertion.Chan("input")}, seqOfV)
+	bad3 := proof.InputStep{
+		Ch: syntax.ChanRef{Name: "input"}, Var: "x", Dom: bits, Body: syntax.Stop{}, Fresh: "v", R: bound,
+		Premise: proof.ForAllIntro{Var: "v", Dom: bits, Premise: proof.Emptiness{R: captured}},
+	}
+	if _, err := c.Check(bad3); err == nil || !strings.Contains(err.Error(), "fresh") {
+		t.Errorf("fresh variable bound in R not reported: %v", err)
+	}
 }
 
 func TestInstantiateRule(t *testing.T) {

@@ -131,22 +131,6 @@ func TestFreeVarsProc(t *testing.T) {
 	}
 }
 
-func TestProcessRefsAndChanNames(t *testing.T) {
-	p := syntax.Alt{
-		L: out("wire", lit(1), syntax.Ref{Name: "sender"}),
-		R: syntax.Hiding{Channels: []syntax.ChanItem{{Name: "hid"}},
-			Body: syntax.Ref{Name: "q", Sub: lit(0)}},
-	}
-	refs := syntax.ProcessRefs(p)
-	if !refs["sender"] || !refs["q"] || len(refs) != 2 {
-		t.Errorf("ProcessRefs = %v", refs)
-	}
-	cs := syntax.ChanNames(p)
-	if !cs["wire"] || !cs["hid"] {
-		t.Errorf("ChanNames = %v", cs)
-	}
-}
-
 func TestModuleDefineAndLookup(t *testing.T) {
 	m := syntax.NewModule()
 	if err := m.Define(syntax.Def{Name: "p", Body: syntax.Stop{}}); err != nil {

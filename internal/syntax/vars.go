@@ -1,8 +1,7 @@
 package syntax
 
-// Free-variable and channel-name queries over the AST, used by the proof
-// rules' side conditions ("v is a fresh variable not free in P, R or c",
-// "p is not free in P") and by alphabet inference.
+// Free-variable queries over the AST, used by the proof rules' side
+// conditions ("v is a fresh variable not free in P, R or c").
 
 // FreeVarsExpr adds the free variables of e to acc.
 func FreeVarsExpr(e Expr, acc map[string]bool) {
@@ -109,69 +108,4 @@ func freeVarsProc(p Proc, acc, bound map[string]bool) {
 		collectItems(t.Channels)
 		freeVarsProc(t.Body, acc, bound)
 	}
-}
-
-// ProcessRefs returns the names of the processes referenced (directly) by p.
-func ProcessRefs(p Proc) map[string]bool {
-	acc := map[string]bool{}
-	var walk func(Proc)
-	walk = func(p Proc) {
-		switch t := p.(type) {
-		case Ref:
-			acc[t.Name] = true
-		case Output:
-			walk(t.Cont)
-		case Input:
-			walk(t.Cont)
-		case Alt:
-			walk(t.L)
-			walk(t.R)
-		case IChoice:
-			walk(t.L)
-			walk(t.R)
-		case Par:
-			walk(t.L)
-			walk(t.R)
-		case Hiding:
-			walk(t.Body)
-		}
-	}
-	walk(p)
-	return acc
-}
-
-// ChanNames returns the names (array names, not individual subscripted
-// channels) of the channels that occur syntactically in p, not following
-// process references. It is a purely syntactic approximation; exact
-// alphabets, which require evaluating subscripts and unfolding references,
-// live in internal/sem.
-func ChanNames(p Proc) map[string]bool {
-	acc := map[string]bool{}
-	var walk func(Proc)
-	walk = func(p Proc) {
-		switch t := p.(type) {
-		case Output:
-			acc[t.Ch.Name] = true
-			walk(t.Cont)
-		case Input:
-			acc[t.Ch.Name] = true
-			walk(t.Cont)
-		case Alt:
-			walk(t.L)
-			walk(t.R)
-		case IChoice:
-			walk(t.L)
-			walk(t.R)
-		case Par:
-			walk(t.L)
-			walk(t.R)
-		case Hiding:
-			for _, it := range t.Channels {
-				acc[it.Name] = true
-			}
-			walk(t.Body)
-		}
-	}
-	walk(p)
-	return acc
 }

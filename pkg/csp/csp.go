@@ -772,7 +772,10 @@ func (m *Module) checkQuantified(ck *check.Checker, quants []parser.Quant, p Pro
 	total := CheckResult{OK: true, Depth: ck.Depth()}
 	for _, v := range dom.Enumerate() {
 		inst := syntax.SubstProc(p, q.Var, sem.ValueToExpr(v))
-		instA := assertion.SubstVar(a, q.Var, assertion.Lit{Val: v})
+		instA, err := assertion.SubstVar(a, q.Var, assertion.Lit{Val: v})
+		if err != nil {
+			return CheckResult{}, err
+		}
 		r, err := m.checkQuantified(ck, quants[1:], inst, instA)
 		if err != nil {
 			return CheckResult{}, fmt.Errorf("%s=%v: %w", q.Var, v, err)

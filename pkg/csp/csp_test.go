@@ -158,3 +158,37 @@ func TestStatsAfterReset(t *testing.T) {
 		t.Fatal("Stats reports no interned nodes after an exploration")
 	}
 }
+
+// TestFalseClaimsNotProved pins false claims that the model checker
+// refutes on <c.0> and the prover once proved. The first reads c only
+// inside a constant-array subscript, which R_<> and R[e⌢c/c] must rewrite
+// too. In the second the input rule's fresh variable v0 would be captured
+// by the claim's own binder, and in the third the claim's binder of x would
+// capture y once y is renamed to q's parameter x.
+func TestFalseClaimsNotProved(t *testing.T) {
+	for _, src := range []string{
+		"const K[0..1] = [0, 5]\nP = c!0 -> STOP\nassert P sat K[#c] == 0\n",
+		"P = c?x:{0..1} -> STOP\nassert P sat forall v0 in {5}. c <= <v0>\n",
+		"set M = {0..1}\nq[x:M] = c!x -> STOP\nassert forall y in M. q[y] sat forall x in {1}. #c <= y\n",
+	} {
+		ctx := context.Background()
+		mod, err := csp.Load(ctx, src, csp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proved, err := mod.ProveAsserts(ctx, csp.CheckOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(proved) != 1 || proved[0].OK {
+			t.Errorf("%s: ProveAsserts = %+v, want one unproved result", src, proved)
+		}
+		checked, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(checked) != 1 || checked[0].OK() || checked[0].Result.Counter == nil || checked[0].Result.Counter.Trace.String() != "<c.0>" {
+			t.Errorf("%s: CheckAll = %v, want a counterexample on <c.0>", src, checked)
+		}
+	}
+}

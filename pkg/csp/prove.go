@@ -107,6 +107,7 @@ type goalEntry struct {
 	goal auto.Goal
 	decl string
 	line int
+	err  error // why the assert could not be made a goal, if it could not
 }
 
 func (d *proveDriver) run() ([]ProveResult, error) {
@@ -119,7 +120,7 @@ func (d *proveDriver) run() ([]ProveResult, error) {
 	for _, e := range recGoals {
 		// Conflicting claims about the same definition cannot share one
 		// recursion application; keep the first for the joint attempt.
-		if !seenName[e.goal.Name] {
+		if e.err == nil && !seenName[e.goal.Name] {
 			seenName[e.goal.Name] = true
 			pending = append(pending, e.goal)
 		}
@@ -184,6 +185,10 @@ func (d *proveDriver) proveRemaining(recGoals []goalEntry) ([]ProveResult, error
 	var obsGoal []goalEntry // parallel to obs: the goal each obligation proves
 	for i, e := range recGoals {
 		results[i] = ProveResult{Decl: e.decl, Name: e.goal.Name, A: e.goal.A, Method: "recursion"}
+		if e.err != nil {
+			results[i].Err = e.err
+			continue
+		}
 		if entry, ok := d.findProved(e.goal.Name, e.goal.A); ok {
 			results[i].OK = true
 			results[i].Proof = entry.pr
@@ -330,11 +335,15 @@ func (d *proveDriver) classify() (goals []goalEntry, netDecls []parser.AssertDec
 			if !isVar || v.Name != decl.Quants[0].Var {
 				continue
 			}
-			a := decl.A
+			e := goalEntry{goal: auto.Goal{Name: ref.Name, A: decl.A}, decl: decl.String()}
 			if v.Name != def.Param {
-				a = assertion.SubstVar(a, v.Name, assertion.Var(def.Param))
+				if a, err := assertion.SubstVar(decl.A, v.Name, assertion.Var(def.Param)); err != nil {
+					e.err = err
+				} else {
+					e.goal.A = a
+				}
 			}
-			goals = append(goals, goalEntry{goal: auto.Goal{Name: ref.Name, A: a}, decl: decl.String()})
+			goals = append(goals, e)
 		}
 	}
 	return goals, netDecls
