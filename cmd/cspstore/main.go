@@ -113,10 +113,10 @@ func ls(st *store.Store) {
 			fmt.Printf("%s  %8d bytes  UNREADABLE: %v\n", key, size, err)
 			continue
 		}
-		fmt.Printf("%s  %8d bytes  %s  nat=%d  arena %d B (%d nodes, %d edges)  %d trace roots  %d checks  %d proofs  %d refinements\n",
+		fmt.Printf("%s  %8d bytes  %s  nat=%d  arena %d B (%d nodes, %d edges)  %d results\n",
 			key, size, time.Unix(a.CreatedUnix, 0).UTC().Format("2006-01-02 15:04"),
 			a.NatWidth, len(a.Arena.Bytes()), a.Arena.NumNodes(), a.Arena.NumEdges(),
-			len(a.TraceRoots), len(a.Checks), len(a.Proves), len(a.Refinements))
+			len(a.Results))
 	}
 }
 
@@ -129,7 +129,7 @@ func verify(st *store.Store, keys []string, quarantine, thaw bool) bool {
 	for _, key := range allKeys(st, keys) {
 		a, n, err := st.Get(key)
 		if err == nil && thaw {
-			_, err = a.Sets()
+			a.Arena.Thaw()
 		}
 		switch {
 		case err == nil:

@@ -316,6 +316,30 @@ func TestSubstitutions(t *testing.T) {
 	if got, err := assertion.SubstVar(under(assertion.Eq(assertion.Var("x"), assertion.Var("v"))), "x", assertion.Var("w")); err != nil || got.String() != "forall v:0..1. w == v" {
 		t.Errorf("SubstVar = %v, %v", got, err)
 	}
+	// R[t/y] reaches the set of a ∀z∈S, which lies outside z's scope, in
+	// t's process-language form; a t without one is refused, as is one
+	// that an enclosing binder would capture.
+	set := assertion.ForAllSet{Var: "z", Dom: syntax.RangeSet{Lo: syntax.IntLit{Val: 0}, Hi: syntax.Var{Name: "y"}},
+		Body: assertion.Cmp{Op: assertion.CLe, L: assertion.Len{S: assertion.Chan("c")}, R: assertion.Var("z")}}
+	for _, tc := range []struct {
+		r    assertion.Term
+		a    assertion.A
+		want string // "" when refused
+	}{
+		{assertion.Int(1), set, "forall z in {0..1}. #c <= z"},
+		{assertion.Var("z"), set, "forall z in {0..z}. #c <= z"},
+		{assertion.Len{S: assertion.Chan("c")}, set, ""},
+		{assertion.Var("v"), under(set), ""},
+		{assertion.Int(1), assertion.ForAllRange{Var: "y", Lo: assertion.Int(0), Hi: assertion.Int(1), Body: set}, "forall y:0..1. forall z in {0..y}. #c <= z"},
+	} {
+		got, err := assertion.SubstVar(tc.a, "y", tc.r)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("SubstVar(%s, y, %s) = %s, want a refusal", tc.a, tc.r, got)
+		case tc.want != "" && (err != nil || got.String() != tc.want):
+			t.Errorf("SubstVar(%s, y, %s) = %v, %v, want %s", tc.a, tc.r, got, err, tc.want)
+		}
+	}
 }
 
 func TestSubstChanConsSymbolicSubscriptRejected(t *testing.T) {
@@ -363,6 +387,16 @@ func TestFreeChansAndVars(t *testing.T) {
 	}
 	if vars := assertion.FreeVars(k); !vars["y"] || len(vars) != 1 {
 		t.Errorf("FreeVars(%s) = %v", k, vars)
+	}
+	// So is a variable only in the set of a ∀z∈S, unless a binder binds it.
+	set := assertion.ForAllSet{Var: "z", Dom: syntax.RangeSet{Lo: syntax.IntLit{Val: 0}, Hi: syntax.Var{Name: "y"}},
+		Body: assertion.Cmp{Op: assertion.CLe, L: assertion.Len{S: assertion.Chan("c")}, R: assertion.Var("z")}}
+	if vars := assertion.FreeVars(set); !vars["y"] || len(vars) != 1 {
+		t.Errorf("FreeVars(%s) = %v", set, vars)
+	}
+	bound := assertion.ForAllRange{Var: "y", Lo: assertion.Int(0), Hi: assertion.Int(1), Body: set}
+	if vars := assertion.FreeVars(bound); len(vars) != 0 {
+		t.Errorf("FreeVars(%s) = %v", bound, vars)
 	}
 }
 

@@ -193,12 +193,12 @@ func EvalTerm(t Term, ctx *Ctx) (value.V, error) {
 // evaluation only: the substitutions of §2.1 match an array reference by
 // its subscript.
 func ResolveChans(a A) A {
-	return rewriteFormula(a, nil, func(t Term, _ bool) Term {
+	return rewrite{node: func(t Term, _ bool) Term {
 		if x, ok := t.(ChanT); ok && literalSub(x) {
 			return ChanT{Name: chanKey(x)}
 		}
 		return nil
-	})
+	}}.run(a)
 }
 
 func evalChanName(x ChanT, ctx *Ctx) (trace.Chan, error) {

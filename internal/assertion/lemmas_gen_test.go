@@ -102,11 +102,6 @@ func checkLemmas(t *testing.T, seed uint64) {
 	}
 	// (a): (ρ + ch(s))⟦R[v/x]⟧ = (ρ[v/x] + ch(s))⟦R⟧, with x unbound in ρ
 	// so that an occurrence the substitution missed fails to evaluate.
-	// SubstVar does not reach the set of a ∀z∈S (ROADMAP item 4), so
-	// formulas with one are left out.
-	if hasSetQuant(a) {
-		return
-	}
 	for v, val := range vars {
 		subst, err := SubstVar(a, v, Lit{Val: val})
 		if err != nil {

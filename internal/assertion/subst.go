@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
 )
@@ -36,7 +37,7 @@ func matchChan(x ChanT, c trace.Chan) bool {
 func SubstChanCons(a A, c trace.Chan, head Term) (A, error) {
 	name, _, _ := c.ArrayName()
 	var symbolic error
-	out, err := substitute(a, head, func(t Term, _ bool) Term {
+	out, err := substitute(a, head, rewrite{node: func(t Term, _ bool) Term {
 		x, ok := t.(ChanT)
 		switch {
 		case !ok || x.Name != name:
@@ -46,7 +47,7 @@ func SubstChanCons(a A, c trace.Chan, head Term) (A, error) {
 			return Cons{Head: head, Tail: x}
 		}
 		return nil
-	})
+	}})
 	if symbolic != nil {
 		return nil, symbolic
 	}
@@ -56,35 +57,56 @@ func SubstChanCons(a A, c trace.Chan, head Term) (A, error) {
 // EmptyAllChans returns R_<>: R with every channel name replaced by the
 // constant empty sequence (rule 4, emptiness).
 func EmptyAllChans(a A) A {
-	return rewriteFormula(a, nil, func(t Term, _ bool) Term {
+	return rewrite{node: func(t Term, _ bool) Term {
 		if _, ok := t.(ChanT); ok {
 			return Empty()
 		}
 		return nil
-	})
+	}}.run(a)
 }
 
 // SubstVar returns R with every free occurrence of variable x replaced by
-// term r, stopping at binders of the same name (ForAll/Exists/Sum). It
-// fails if a binder in R would capture a variable of r.
+// term r, stopping at binders of the same name (ForAll/Exists/Sum). Into
+// the set of a ∀z∈S it puts r's process-language form, so it fails where x
+// is free in such a set and r has none. It fails if a binder in R would
+// capture a variable of r.
 func SubstVar(a A, x string, r Term) (A, error) {
-	return substitute(a, r, func(t Term, bound bool) Term {
-		if v, ok := t.(VarT); ok && v.Name == x && !bound {
-			return r
-		}
-		return nil
+	var inexpressible error
+	out, err := substitute(a, r, rewrite{
+		node: func(t Term, bound bool) Term {
+			if v, ok := t.(VarT); ok && v.Name == x && !bound {
+				return r
+			}
+			return nil
+		},
+		set: func(s syntax.SetExpr, free map[string]bool) syntax.SetExpr {
+			if !free[x] {
+				return nil
+			}
+			e, err := TermToExpr(r)
+			if err != nil {
+				inexpressible = err
+				return nil
+			}
+			return syntax.SubstSet(s, x, e)
+		},
 	})
+	if inexpressible != nil {
+		return nil, inexpressible
+	}
+	return out, err
 }
 
-// substitute runs a pass of node, which puts t in places, over a. It fails
+// substitute runs the pass w, which puts t in places, over a. It fails
 // where a binder in a would capture a variable of t.
-func substitute(a A, t Term, node func(t Term, bound bool) Term) (A, error) {
+func substitute(a A, t Term, w rewrite) (A, error) {
 	var err error
-	out := rewriteFormula(a, func(v string) {
+	w.changed = func(v string) {
 		if err == nil && termVars(t)[v] {
 			err = fmt.Errorf("assertion: substituting %s under the binder of %s would capture it", t, v)
 		}
-	}, node)
+	}
+	out := w.run(a)
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +120,12 @@ func substitute(a A, t Term, node func(t Term, bound bool) Term) (A, error) {
 // requires).
 func FreeChans(a A) map[string]bool {
 	out := map[string]bool{}
-	rewriteFormula(a, nil, func(t Term, _ bool) Term {
+	rewrite{node: func(t Term, _ bool) Term {
 		if x, ok := t.(ChanT); ok {
 			out[chanKey(x)] = true
 		}
 		return nil
-	})
+	}}.run(a)
 	return out
 }
 
@@ -123,12 +145,12 @@ func literalSub(x ChanT) bool {
 	return ok && lit.Val.Kind() == value.KindInt
 }
 
-// FreeVars returns the variables occurring free in the assertion
-// (channel names excluded — they are "bound" by the sat judgement, §2).
-// It returns nil when there are none.
+// FreeVars returns the variables occurring free in the assertion, those of
+// the sets of ∀z∈S and ∃z∈S among them (channel names excluded — they are
+// "bound" by the sat judgement, §2). It returns nil when there are none.
 func FreeVars(a A) map[string]bool {
 	var out map[string]bool
-	rewriteFormula(a, nil, collectVars(&out))
+	rewrite{node: collectVars(&out), set: collectSetVars(&out)}.run(a)
 	return out
 }
 
@@ -154,17 +176,29 @@ func collectVars(out *map[string]bool) func(Term, bool) Term {
 	}
 }
 
+// collectSetVars is collectVars for the sets of ∀z∈S and ∃z∈S.
+func collectSetVars(out *map[string]bool) func(syntax.SetExpr, map[string]bool) syntax.SetExpr {
+	return func(_ syntax.SetExpr, free map[string]bool) syntax.SetExpr {
+		for v := range free {
+			if *out == nil {
+				*out = map[string]bool{}
+			}
+			(*out)[v] = true
+		}
+		return nil
+	}
+}
+
 // VarNames returns every variable name in the assertion: those occurring
 // free or bound, and those a binder binds.
 func VarNames(a A) map[string]bool {
 	out := map[string]bool{}
-	w := rewrite{binders: out, node: func(t Term, _ bool) Term {
+	rewrite{binders: out, set: collectSetVars(&out), node: func(t Term, _ bool) Term {
 		if v, ok := t.(VarT); ok {
 			out[v.Name] = true
 		}
 		return nil
-	}}
-	w.formula(a, nil)
+	}}.run(a)
 	return out
 }
 
@@ -173,7 +207,7 @@ func VarNames(a A) map[string]bool {
 // resolved already, and whether a binder in a binds its name.
 func Resolve(a A, f func(u Unresolved, bound bool) (Term, error)) (A, error) {
 	var err error
-	out := rewriteFormula(a, nil, func(t Term, bound bool) Term {
+	out := rewrite{node: func(t Term, bound bool) Term {
 		u, ok := t.(Unresolved)
 		if !ok || err != nil {
 			return nil
@@ -181,7 +215,7 @@ func Resolve(a A, f func(u Unresolved, bound bool) (Term, error)) (A, error) {
 		var r Term
 		r, err = f(u, bound)
 		return r
-	})
+	}}.run(a)
 	if err != nil {
 		return nil, err
 	}

@@ -269,39 +269,17 @@ func (s *search) plan() {
 }
 
 // slotsOf marks the slots f's value can depend on: its channels, which
-// Valid has made sure are all concrete, and its free variables. FreeVars
-// does not look inside the set expressions of ∀x∈S and ∃x∈S, so a formula
-// that has one depends on every variable.
+// Valid has made sure are all concrete, and its free variables.
 func (s *search) slotsOf(f A) []bool {
 	slots := make([]bool, len(s.pos))
-	fc, fv, anyVar := FreeChans(f), FreeVars(f), hasSetQuant(f)
+	fc, fv := FreeChans(f), FreeVars(f)
 	for i, ch := range s.chans {
 		slots[i] = fc[string(ch)]
 	}
 	for j, v := range s.vars {
-		slots[len(s.chans)+j] = anyVar || fv[v]
+		slots[len(s.chans)+j] = fv[v]
 	}
 	return slots
-}
-
-func hasSetQuant(a A) bool {
-	switch x := a.(type) {
-	case ForAllSet, ExistsSet:
-		return true
-	case Not:
-		return hasSetQuant(x.Body)
-	case And:
-		return hasSetQuant(x.L) || hasSetQuant(x.R)
-	case Or:
-		return hasSetQuant(x.L) || hasSetQuant(x.R)
-	case Implies:
-		return hasSetQuant(x.L) || hasSetQuant(x.R)
-	case ForAllRange:
-		return hasSetQuant(x.Body)
-	case ExistsRange:
-		return hasSetQuant(x.Body)
-	}
-	return false
 }
 
 // visit binds depth d to each of its slot's values in turn, and the depths

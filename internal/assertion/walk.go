@@ -1,13 +1,18 @@
 package assertion
 
-import "slices"
+import (
+	"slices"
+
+	"cspsat/internal/syntax"
+)
 
 // The one traversal of the assertion language. Only this file knows which
 // nodes have children, the subscripts of ChanT, ConstIndex and Unresolved
 // among them, and which variable each of Sum, ForAllRange, ExistsRange,
 // ForAllSet and ExistsSet binds over its body (a binder's bounds and set
 // lie outside its scope). The substitutions of §2.1, the free-name queries
-// and the parser's name resolution are all passes of it.
+// and the parser's name resolution are all passes of it. The set of a
+// ∀z∈S or ∃z∈S is a process-language expression, which a pass sees whole.
 
 // rewrite is one pass over a formula. It hands every term to node after
 // the term's children, left to right, and puts node's result in the
@@ -27,15 +32,18 @@ type rewrite struct {
 	// whose body the pass changed: there the binder would capture a
 	// variable of whatever was substituted.
 	changed func(v string)
+	// set, when non-nil, returns the set that replaces s, the set of a
+	// ∀z∈S or ∃z∈S, or nil to keep it. free holds the variables of s that
+	// no enclosing binder binds.
+	set func(s syntax.SetExpr, free map[string]bool) syntax.SetExpr
 	// binders, when non-nil, collects the variable of every binder.
 	binders map[string]bool
 
 	changes int // terms node replaced so far
 }
 
-// rewriteFormula runs one pass over a.
-func rewriteFormula(a A, changed func(v string), node func(t Term, bound bool) Term) A {
-	w := rewrite{node: node, changed: changed}
+// run runs the pass over a.
+func (w rewrite) run(a A) A {
 	var scope [8]string // binders rarely nest deeper, so the pass need not allocate
 	return w.formula(a, scope[:0])
 }
@@ -70,11 +78,13 @@ func (w *rewrite) formula(a A, bound []string) A {
 			a = x
 		}
 	case ForAllSet:
+		x.Dom = w.domain(x.Dom, bound)
 		x.Body = w.under(x.Var, x.Body, bound)
 		if w.changes != n {
 			a = x
 		}
 	case ExistsSet:
+		x.Dom = w.domain(x.Dom, bound)
 		x.Body = w.under(x.Var, x.Body, bound)
 		if w.changes != n {
 			a = x
@@ -98,6 +108,23 @@ func (w *rewrite) formula(a A, bound []string) A {
 		}
 	}
 	return a
+}
+
+// domain hands the set s of a ∀z∈S or ∃z∈S to the pass's set.
+func (w *rewrite) domain(s syntax.SetExpr, bound []string) syntax.SetExpr {
+	if w.set == nil {
+		return s
+	}
+	free := map[string]bool{}
+	syntax.FreeVarsSet(s, free)
+	for _, v := range bound {
+		delete(free, v)
+	}
+	if r := w.set(s, free); r != nil {
+		w.changes++
+		return r
+	}
+	return s
 }
 
 // under rewrites the body of a binder of v.

@@ -135,7 +135,7 @@ func (s *synth) prove(p syntax.Proc, target assertion.A, unfolds int) (proof.Pro
 		if err != nil {
 			return nil, fmt.Errorf("output %s: %w", t.Ch, err)
 		}
-		eTerm, err := proof.ExprToTerm(t.Val)
+		eTerm, err := assertion.ExprToTerm(t.Val)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +207,7 @@ func (s *synth) proveRef(r syntax.Ref, target assertion.A, unfolds int) (proof.P
 	if hyp, ok := s.hyps[r.Name]; ok {
 		var insts []assertion.Term
 		if r.Sub != nil {
-			term, err := proof.ExprToTerm(r.Sub)
+			term, err := assertion.ExprToTerm(r.Sub)
 			if err != nil {
 				return nil, err
 			}

@@ -255,7 +255,7 @@ func (c *Checker) checkOutput(n OutputStep, sc scope) (Claim, error) {
 	if err != nil {
 		return Claim{}, fmt.Errorf("output: schematic channel %s unsupported: %w", n.Ch, err)
 	}
-	eTerm, err := ExprToTerm(n.Val)
+	eTerm, err := assertion.ExprToTerm(n.Val)
 	if err != nil {
 		return Claim{}, fmt.Errorf("output: %w", err)
 	}
@@ -455,7 +455,7 @@ func (c *Checker) instantiate(cl Claim, terms []assertion.Term, sc scope) (Claim
 		if err := c.checkMembership(t, q.Dom, sc); err != nil {
 			return Claim{}, fmt.Errorf("forall-elim: %w", err)
 		}
-		e, err := TermToExpr(t)
+		e, err := assertion.TermToExpr(t)
 		if err != nil {
 			return Claim{}, fmt.Errorf("forall-elim: %w", err)
 		}

@@ -3,7 +3,6 @@ package proof_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,37 +22,6 @@ func checker(t *testing.T) *proof.Checker {
 	c := proof.NewChecker(env, nil)
 	c.Validity = assertion.ValidityConfig{MaxLen: 3}
 	return c
-}
-
-func TestExprTermRoundTrip(t *testing.T) {
-	exprs := []syntax.Expr{
-		syntax.IntLit{Val: 7},
-		syntax.SymLit{Name: "ACK"},
-		syntax.Var{Name: "x"},
-		syntax.Binary{Op: syntax.OpAdd,
-			L: syntax.Binary{Op: syntax.OpMul, L: syntax.Index{Name: "v", Sub: syntax.Var{Name: "i"}}, R: syntax.Var{Name: "x"}},
-			R: syntax.Var{Name: "y"}},
-	}
-	for _, e := range exprs {
-		term, err := proof.ExprToTerm(e)
-		if err != nil {
-			t.Fatalf("ExprToTerm(%s): %v", e, err)
-		}
-		back, err := proof.TermToExpr(term)
-		if err != nil {
-			t.Fatalf("TermToExpr(%s): %v", term, err)
-		}
-		if !reflect.DeepEqual(e, back) {
-			t.Errorf("round trip changed %s into %s", e, back)
-		}
-	}
-	// Terms outside the shared fragment do not project.
-	if _, err := proof.TermToExpr(assertion.Len{S: assertion.Chan("wire")}); err == nil {
-		t.Error("#wire projected into the process language")
-	}
-	if _, err := proof.TermToExpr(assertion.Lit{Val: value.Seq()}); err == nil {
-		t.Error("sequence literal projected")
-	}
 }
 
 func TestTrivialityRule(t *testing.T) {

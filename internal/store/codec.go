@@ -3,7 +3,7 @@ package store
 // The artifact wire format, versioned and checksummed:
 //
 //	magic   8 bytes  "CSPSTORE"
-//	version uint32   little-endian (currently 3)
+//	version uint32   little-endian (currently 4)
 //	payload uvarint-framed sections (see encodePayload)
 //	crc64   8 bytes  little-endian ECMA checksum of magic+version+payload
 //
@@ -38,8 +38,11 @@ const (
 	// History: 1 = initial layout; 2 = appended the Refinements section
 	// (model-tagged refinement verdict blocks); 3 = the Events and Nodes
 	// sections were replaced by an embedded frozen arena image (flat
-	// offset-addressed trie graph, mmap-traversable without rebuilding).
-	Version uint32 = 3
+	// offset-addressed trie graph, mmap-traversable without rebuilding);
+	// 4 = the TraceRoots, Checks, Proves and Refinements sections were
+	// replaced by one Results section, each record the facade's key, an
+	// arena root and a verdict blob.
+	Version uint32 = 4
 )
 
 var (
@@ -85,34 +88,16 @@ func (w *writer) encodePayload(a *Artifact) {
 	}
 	w.bytes(a.Arena.Bytes())
 
-	w.uvarint(uint64(len(a.TraceRoots)))
-	for _, r := range a.TraceRoots {
-		w.str(r.Engine)
-		w.uvarint(uint64(r.Depth))
-		w.str(r.Process)
+	w.uvarint(uint64(len(a.Results)))
+	for _, r := range a.Results {
+		w.uvarint(uint64(r.Kind))
+		w.uvarint(uint64(r.Model))
+		w.varint(int64(r.Bound))
+		w.str(r.P)
+		w.str(r.Q)
 		w.uvarint(uint64(r.Root))
 		w.uvarint(uint64(r.Iterations))
-	}
-
-	w.uvarint(uint64(len(a.Checks)))
-	for _, c := range a.Checks {
-		w.uvarint(uint64(c.Depth))
-		w.bytes(c.Results)
-	}
-
-	w.uvarint(uint64(len(a.Proves)))
-	for _, p := range a.Proves {
-		w.uvarint(uint64(p.MaxLen))
-		w.bytes(p.Results)
-	}
-
-	w.uvarint(uint64(len(a.Refinements)))
-	for _, rf := range a.Refinements {
-		w.str(rf.Model)
-		w.uvarint(uint64(rf.Depth))
-		w.str(rf.Impl)
-		w.str(rf.Spec)
-		w.bytes(rf.Result)
+		w.bytes(r.Blob)
 	}
 }
 
@@ -123,7 +108,7 @@ func (w *writer) encodePayload(a *Artifact) {
 //
 // The returned artifact's arena aliases data (the image subslice is taken
 // zero-copy), so data must stay valid — and unmodified — for the
-// artifact's lifetime. Store.GetMapped relies on exactly this to serve
+// artifact's lifetime. Store.Get relies on exactly this to serve
 // tries straight from the page cache; callers that cannot guarantee the
 // backing bytes outlive the artifact should copy data first.
 func Decode(data []byte) (*Artifact, error) {
@@ -256,98 +241,49 @@ func (r *reader) decodePayload() (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	nRoots, err := r.count("trace roots")
+	n, err := r.count("results")
 	if err != nil {
 		return nil, err
 	}
-	a.TraceRoots = make([]TraceRoot, nRoots)
-	for i := range a.TraceRoots {
-		tr := &a.TraceRoots[i]
-		if tr.Engine, err = r.str("root engine"); err != nil {
-			return nil, err
-		}
-		depth, err := r.uvarint("root depth")
+	if n > 0 {
+		a.Results = make([]Result, n)
+	}
+	for i := range a.Results {
+		res := &a.Results[i]
+		kind, err := r.uvarint("result kind")
 		if err != nil {
 			return nil, err
 		}
-		tr.Depth = uint32(depth)
-		if tr.Process, err = r.str("root process"); err != nil {
+		model, err := r.uvarint("result model")
+		if err != nil {
 			return nil, err
 		}
-		root, err := r.uvarint("root node")
+		bound, err := r.varint("result bound")
+		if err != nil {
+			return nil, err
+		}
+		res.Kind, res.Model, res.Bound = uint32(kind), uint32(model), int(bound)
+		if res.P, err = r.str("result p"); err != nil {
+			return nil, err
+		}
+		if res.Q, err = r.str("result q"); err != nil {
+			return nil, err
+		}
+		root, err := r.uvarint("result root")
 		if err != nil {
 			return nil, err
 		}
 		if root >= uint64(a.Arena.NumNodes()) {
-			return nil, r.corrupt("trace root %d: node index %d out of %d", i, root, a.Arena.NumNodes())
+			return nil, r.corrupt("result %d: node index %d out of %d", i, root, a.Arena.NumNodes())
 		}
-		tr.Root = uint32(root)
-		iters, err := r.uvarint("root iterations")
+		iters, err := r.uvarint("result iterations")
 		if err != nil {
 			return nil, err
 		}
-		tr.Iterations = uint32(iters)
-	}
-
-	nChecks, err := r.count("checks")
-	if err != nil {
-		return nil, err
-	}
-	a.Checks = make([]CheckBlock, nChecks)
-	for i := range a.Checks {
-		depth, err := r.uvarint("check depth")
-		if err != nil {
-			return nil, err
-		}
-		a.Checks[i].Depth = uint32(depth)
-		if a.Checks[i].Results, err = r.blob("check results"); err != nil {
+		res.Root, res.Iterations = uint32(root), uint32(iters)
+		if res.Blob, err = r.blob("result blob"); err != nil {
 			return nil, err
 		}
 	}
-
-	nProves, err := r.count("proves")
-	if err != nil {
-		return nil, err
-	}
-	a.Proves = make([]ProveBlock, nProves)
-	for i := range a.Proves {
-		maxLen, err := r.uvarint("prove maxlen")
-		if err != nil {
-			return nil, err
-		}
-		a.Proves[i].MaxLen = uint32(maxLen)
-		if a.Proves[i].Results, err = r.blob("prove results"); err != nil {
-			return nil, err
-		}
-	}
-
-	nRefines, err := r.count("refinements")
-	if err != nil {
-		return nil, err
-	}
-	if nRefines > 0 {
-		a.Refinements = make([]RefineBlock, nRefines)
-	}
-	for i := range a.Refinements {
-		rf := &a.Refinements[i]
-		if rf.Model, err = r.str("refinement model"); err != nil {
-			return nil, err
-		}
-		depth, err := r.uvarint("refinement depth")
-		if err != nil {
-			return nil, err
-		}
-		rf.Depth = uint32(depth)
-		if rf.Impl, err = r.str("refinement impl"); err != nil {
-			return nil, err
-		}
-		if rf.Spec, err = r.str("refinement spec"); err != nil {
-			return nil, err
-		}
-		if rf.Result, err = r.blob("refinement result"); err != nil {
-			return nil, err
-		}
-	}
-
 	return a, nil
 }

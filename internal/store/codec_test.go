@@ -28,14 +28,14 @@ func sampleArtifact(t testing.TB) *Artifact {
 	s2 := closure.Union(closure.Prefix(d, shared), shared)
 
 	bld := NewBuilder("0123456789abcdef0123456789abcdef", "P = a!3 -> STOP", 4, 1754000000)
-	bld.AddTraceRoot("denote", 6, "P", s1, 3)
-	bld.AddTraceRoot("op", 6, "Q", s2, 0)
-	bld.AddTraceRoot("op", 2, "STOP", closure.Stop(), 0)
-	bld.AddCheck(6, []byte(`[{"name":"A1","holds":true}]`))
-	bld.AddProve(8, []byte(`[{"name":"T1","valid":true}]`))
-	bld.AddProve(2, nil)
-	bld.AddRefinement("failures", 6, "Q", "P", []byte(`{"ok":false}`))
-	bld.AddRefinement("traces", 4, "P", "P", []byte(`{"ok":true}`))
+	bld.Add(Result{Kind: 1, Bound: 6, P: "P", Iterations: 3}, s1)
+	bld.Add(Result{Bound: 6, P: "Q"}, s2)
+	bld.Add(Result{Bound: 2, P: "STOP"}, closure.Stop())
+	bld.Add(Result{Kind: 3, Bound: 6, Blob: []byte(`[{"name":"A1","holds":true}]`)}, nil)
+	bld.Add(Result{Kind: 4, Bound: 8, Blob: []byte(`[{"name":"T1","valid":true}]`)}, nil)
+	bld.Add(Result{Kind: 4, Bound: -1}, nil)
+	bld.Add(Result{Kind: 5, Model: 1, Bound: 6, P: "Q", Q: "P", Blob: []byte(`{"ok":false}`)}, nil)
+	bld.Add(Result{Kind: 5, Bound: 4, P: "P", Q: "P", Blob: []byte(`{"ok":true}`)}, nil)
 	art, err := bld.Artifact()
 	if err != nil {
 		t.Fatalf("Artifact: %v", err)
@@ -49,14 +49,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
-	}
-	// Normalize nil-vs-empty blobs before deep comparison.
-	if len(got.Proves) == len(art.Proves) {
-		for i := range got.Proves {
-			if len(got.Proves[i].Results) == 0 && len(art.Proves[i].Results) == 0 {
-				got.Proves[i].Results, art.Proves[i].Results = nil, nil
-			}
-		}
 	}
 	// The arena compares by image bytes (its in-memory struct carries lazy
 	// binding state); everything else compares structurally.
@@ -75,17 +67,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("Decode (again): %v", err)
 	}
 
-	sets, err := got.Sets()
-	if err != nil {
-		t.Fatalf("Sets: %v", err)
-	}
+	sets := got.Arena.Thaw()
 	if sets[0] != closure.Stop() {
 		t.Fatalf("sets[0] is not the canonical empty trie")
-	}
-	for _, r := range got.TraceRoots {
-		if _, err := got.RootSet(sets, r); err != nil {
-			t.Fatalf("RootSet(%q): %v", r.Process, err)
-		}
 	}
 }
 
@@ -123,10 +107,10 @@ func TestDecodeFlippedBytes(t *testing.T) {
 func TestDecodeVersionSkew(t *testing.T) {
 	data := Encode(sampleArtifact(t))
 	// Patch the version field and re-stamp the checksum so only the
-	// version disagrees. Versions 1 and 2 are the codec's own history
-	// (v2 files in a live store must read as skew → recompute+overwrite,
+	// version disagrees. Versions 1 to 3 are the codec's own history
+	// (such files in a live store must read as skew → recompute+overwrite,
 	// not as corrupt).
-	for _, v := range []byte{1, 2, byte(Version + 1)} {
+	for _, v := range []byte{1, 2, 3, byte(Version + 1)} {
 		mut := make([]byte, len(data))
 		copy(mut, data)
 		mut[len(magic)] = v
@@ -145,10 +129,8 @@ func TestDecodeVersionSkew(t *testing.T) {
 // is interned.
 func TestDecodeDoesNotIntern(t *testing.T) {
 	bld := NewBuilder("0123456789abcdef0123456789abcdef", "src", 3, 0)
-	bld.AddTraceRoot("op", 1,
-		"P",
-		closure.Prefix(trace.Event{Chan: "preinterned", Msg: value.Int(0)}, closure.Stop()),
-		0)
+	bld.Add(Result{Bound: 1, P: "P"},
+		closure.Prefix(trace.Event{Chan: "preinterned", Msg: value.Int(0)}, closure.Stop()))
 	art, err := bld.Artifact()
 	if err != nil {
 		t.Fatalf("Artifact: %v", err)

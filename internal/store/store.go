@@ -66,7 +66,7 @@ func (s *Store) Path(key string) string {
 // Put encodes and atomically writes an artifact under its own key,
 // returning the number of bytes written. An existing artifact for the key
 // is replaced (the content address guarantees it encodes the same module,
-// possibly with more precomputed roots).
+// possibly with more precomputed results).
 func (s *Store) Put(a *Artifact) (int, error) {
 	if err := validKey(a.Key); err != nil {
 		return 0, err
@@ -98,36 +98,15 @@ func (s *Store) Put(a *Artifact) (int, error) {
 // ErrCorrupt/ErrVersionSkew from the codec; an artifact whose payload key
 // disagrees with the requested key (a renamed or cross-copied file) is
 // reported as corrupt.
+//
+// The artifact's arena is served zero-copy from an mmap of the file (a
+// plain read where mmap is unavailable): the decoded trie graph aliases
+// the mapping, so a warm boot touches no heap proportional to the graph
+// and the kernel shares the pages across processes. The mapping is
+// released when the returned artifact's arena is garbage collected (a
+// finalizer calls munmap), or eagerly via Artifact.Arena.Close. Decode
+// failures unmap before returning, so corrupt files leak nothing.
 func (s *Store) Get(key string) (*Artifact, int, error) {
-	if err := validKey(key); err != nil {
-		return nil, 0, err
-	}
-	data, err := os.ReadFile(s.Path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
-		}
-		return nil, 0, fmt.Errorf("store: get %s: %w", key, err)
-	}
-	a, err := Decode(data)
-	if err != nil {
-		return nil, len(data), err
-	}
-	if a.Key != key {
-		return nil, len(data), fmt.Errorf("%w: payload key %s under file key %s", ErrCorrupt, a.Key, key)
-	}
-	return a, len(data), nil
-}
-
-// GetMapped is Get with the artifact's arena served zero-copy from an
-// mmap of the file (falling back to a plain read where mmap is
-// unavailable): the decoded trie graph aliases the mapping, so a warm boot
-// touches no heap proportional to the graph and the kernel shares the
-// pages across processes. The mapping is released when the returned
-// artifact's arena is garbage collected (a finalizer calls munmap), or
-// eagerly via Artifact.Arena.Close. Decode failures unmap before
-// returning, so corrupt files leak nothing.
-func (s *Store) GetMapped(key string) (*Artifact, int, error) {
 	if err := validKey(key); err != nil {
 		return nil, 0, err
 	}

@@ -18,8 +18,8 @@ const testKey = "fedcba9876543210fedcba9876543210"
 func testArtifact(key string) *Artifact {
 	b := NewBuilder(key, "Q = b?x:NAT -> STOP", 3, 1754000000)
 	ev := trace.Event{Chan: "b", Msg: value.Int(1)}
-	b.AddTraceRoot("op", 4, "Q", closure.Prefix(ev, closure.Stop()), 0)
-	b.AddCheck(4, []byte(`[]`))
+	b.Add(Result{Bound: 4, P: "Q"}, closure.Prefix(ev, closure.Stop()))
+	b.Add(Result{Kind: 3, Bound: 4, Blob: []byte(`[]`)}, nil)
 	a, err := b.Artifact()
 	if err != nil {
 		panic(err)
@@ -152,7 +152,7 @@ func TestStorePutReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	bigger := testArtifact(testKey)
-	bigger.AddProveForTest(8, []byte(`[{"name":"T","valid":true}]`))
+	bigger.Results = append(bigger.Results, Result{Kind: 4, Bound: 8, Blob: []byte(`[{"name":"T","valid":true}]`)})
 	if _, err := s.Put(bigger); err != nil {
 		t.Fatalf("replace Put: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestStorePutReplacesAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Proves) != 1 {
+	if len(got.Results) != 3 {
 		t.Fatalf("replacement not visible: %+v", got)
 	}
 	// No temp droppings left behind.
@@ -172,17 +172,11 @@ func TestStorePutReplacesAtomically(t *testing.T) {
 	}
 }
 
-// AddProveForTest lets a test append a prove block to an already-built
-// artifact.
-func (a *Artifact) AddProveForTest(maxLen int, results []byte) {
-	a.Proves = append(a.Proves, ProveBlock{MaxLen: uint32(maxLen), Results: results})
-}
-
 // TestStoreGetMapped exercises the zero-copy load path: the mapped
-// artifact must be byte-identical to the Get one, serve reads and thaw to
-// the same canonical tries, and survive Close (unmap) without the arena
-// having been copied. A corrupt file must error (the mapping is released
-// internally) and ErrNotFound must pass through.
+// artifact's arena must be byte-identical to the built one, serve reads
+// and thaw to the same canonical tries, and survive Close (unmap) without
+// the arena having been copied. A corrupt file must error (the mapping is
+// released internally) and ErrNotFound must pass through.
 func TestStoreGetMapped(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -194,37 +188,31 @@ func TestStoreGetMapped(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
-	mapped, mn, err := s.GetMapped(testKey)
+	mapped, mn, err := s.Get(testKey)
 	if err != nil {
-		t.Fatalf("GetMapped: %v", err)
+		t.Fatalf("Get: %v", err)
 	}
 	if mn != n {
 		t.Fatalf("mapped %d bytes, wrote %d", mn, n)
 	}
 	if mapped.Source != art.Source || mapped.Key != art.Key {
-		t.Fatalf("GetMapped mismatch: %+v", mapped)
+		t.Fatalf("Get mismatch: %+v", mapped)
 	}
 	if !bytes.Equal(mapped.Arena.Bytes(), art.Arena.Bytes()) {
 		t.Fatalf("mapped arena image differs from built one")
 	}
 	// Frozen reads and the thaw both work off the mapping.
-	v, err := mapped.RootView(mapped.TraceRoots[0])
+	root := mapped.Results[0].Root
+	v, err := mapped.Arena.View(root)
 	if err != nil {
-		t.Fatalf("RootView: %v", err)
+		t.Fatalf("View: %v", err)
 	}
 	if v.Size() != 2 || v.MaxLen() != 1 {
 		t.Fatalf("mapped view size=%d maxlen=%d", v.Size(), v.MaxLen())
 	}
-	sets, err := mapped.Sets()
-	if err != nil {
-		t.Fatalf("Sets: %v", err)
-	}
-	want, err := mapped.RootSet(sets, mapped.TraceRoots[0])
-	if err != nil {
-		t.Fatalf("RootSet: %v", err)
-	}
+	want := mapped.Arena.Thaw()[root]
 	if !want.Same(v.Thaw()) {
-		t.Fatalf("view thaw is not canonical with artifact Sets")
+		t.Fatalf("view thaw is not canonical with the arena's thaw")
 	}
 	// Explicit Close releases the mapping exactly once; the thawed tries
 	// remain valid because they live in the interner, not the mapping.
@@ -234,11 +222,11 @@ func TestStoreGetMapped(t *testing.T) {
 		t.Fatalf("thawed set damaged by unmap")
 	}
 
-	if _, _, err := s.GetMapped("0123456789abcdef0123456789abcdef"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetMapped missing key: %v", err)
+	if _, _, err := s.Get("0123456789abcdef0123456789abcdef"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get missing key: %v", err)
 	}
 
-	// Corrupt the stored file: GetMapped must reject it like Get does.
+	// Corrupt the stored file: Get must reject it and release the mapping.
 	path := filepath.Join(s.Dir(), testKey+Ext)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -248,7 +236,7 @@ func TestStoreGetMapped(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetMapped(testKey); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("GetMapped corrupt: %v", err)
+	if _, _, err := s.Get(testKey); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get corrupt: %v", err)
 	}
 }

@@ -1,15 +1,17 @@
 // Module ↔ store.Artifact conversion. internal/store knows nothing about
-// modules or engines (it traffics in tries, symbols, and opaque verdict
-// blobs); this file is the bridge: flattening a Module's recorded results
-// into an artifact for persisting, and rehydrating an artifact into a
-// deferred Module whose caches are pre-warmed — the warm-boot path that
-// serves requests without parsing or denoting anything.
+// modules or engines (it traffics in tries, symbols, opaque result keys
+// and opaque verdict blobs); this file is the bridge: flattening a
+// Module's results table into an artifact for persisting, and rehydrating
+// an artifact into a deferred Module whose table is pre-warmed — the
+// warm-boot path that serves requests without parsing or denoting
+// anything.
 package csp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cspsat/internal/store"
 )
@@ -21,17 +23,6 @@ type ArtifactStore = store.Store
 // OpenStore opens (creating if needed) an artifact store directory for
 // attaching to a ModuleCache via SetStore.
 func OpenStore(dir string) (*ArtifactStore, error) { return store.Open(dir) }
-
-// engineFromName is the inverse of Engine.String for the storable engines.
-func engineFromName(name string) (Engine, bool) {
-	switch name {
-	case "op":
-		return EngineOp, true
-	case "denote":
-		return EngineDenote, true
-	}
-	return 0, false
-}
 
 // buildArtifact flattens the module's source and recorded results into a
 // store artifact under the given content address. It fails for modules
@@ -46,82 +37,41 @@ func (m *Module) buildArtifact(key string, createdUnix int64) (*store.Artifact, 
 	m.res.mu.Lock()
 	defer m.res.mu.Unlock()
 
-	// Deterministic artifact bytes for identical result sets: flatten in
-	// sorted key order.
-	tkeys := make([]traceResultKey, 0, len(m.res.traces))
-	for k := range m.res.traces {
-		tkeys = append(tkeys, k)
+	// Deterministic artifact bytes for identical result sets: add in key
+	// order.
+	keys := make([]resultKey, 0, len(m.res.table))
+	for k := range m.res.table {
+		keys = append(keys, k)
 	}
-	sort.Slice(tkeys, func(i, j int) bool {
-		a, b := tkeys[i], tkeys[j]
-		if a.engine != b.engine {
-			return a.engine < b.engine
+	slices.SortFunc(keys, resultKey.compare)
+	for _, k := range keys {
+		r := m.res.table[k]
+		rec := store.Result{Kind: uint32(k.kind), Model: uint32(k.model), Bound: k.bound, P: k.p, Q: k.q}
+		if r.traces != nil {
+			// TraceSet, not Set: a store-rehydrated result being re-persisted
+			// (a warm module that computed something new) thaws here — the
+			// write side is the one place frozen data rebuilds through the
+			// interner. Pure serve traffic never reaches this.
+			rec.Iterations = uint32(r.traces.Iterations)
+			b.Add(rec, r.traces.TraceSet())
+			continue
 		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
+		var verdict any
+		switch k.kind {
+		case kindCheck:
+			verdict = r.checks
+		case kindProve:
+			verdict = r.proves
+		default:
+			verdict = r.refine
 		}
-		return a.process < b.process
-	})
-	for _, k := range tkeys {
-		r := m.res.traces[k]
-		// TraceSet, not Set: a store-rehydrated result being re-persisted
-		// (a warm module that computed something new) thaws here — the
-		// write side is the one place frozen data rebuilds through the
-		// interner. Pure serve traffic never reaches this.
-		b.AddTraceRoot(k.engine.String(), k.depth, k.process, r.TraceSet(), r.Iterations)
-	}
-
-	depths := make([]int, 0, len(m.res.checks))
-	for d := range m.res.checks {
-		depths = append(depths, d)
-	}
-	sort.Ints(depths)
-	for _, d := range depths {
-		blob, err := json.Marshal(m.res.checks[d])
+		blob, err := json.Marshal(verdict)
 		if err != nil {
-			return nil, fmt.Errorf("csp: encoding check verdicts: %w", err)
+			return nil, fmt.Errorf("csp: encoding verdict (%+v): %w", k, err)
 		}
-		b.AddCheck(d, blob)
+		rec.Blob = blob
+		b.Add(rec, nil)
 	}
-
-	lens := make([]int, 0, len(m.res.proves))
-	for l := range m.res.proves {
-		lens = append(lens, l)
-	}
-	sort.Ints(lens)
-	for _, l := range lens {
-		blob, err := json.Marshal(m.res.proves[l])
-		if err != nil {
-			return nil, fmt.Errorf("csp: encoding prove verdicts: %w", err)
-		}
-		b.AddProve(l, blob)
-	}
-
-	rkeys := make([]refineResultKey, 0, len(m.res.refines))
-	for k := range m.res.refines {
-		rkeys = append(rkeys, k)
-	}
-	sort.Slice(rkeys, func(i, j int) bool {
-		a, b := rkeys[i], rkeys[j]
-		if a.model != b.model {
-			return a.model < b.model
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		if a.impl != b.impl {
-			return a.impl < b.impl
-		}
-		return a.spec < b.spec
-	})
-	for _, k := range rkeys {
-		blob, err := json.Marshal(m.res.refines[k])
-		if err != nil {
-			return nil, fmt.Errorf("csp: encoding refinement verdict: %w", err)
-		}
-		b.AddRefinement(k.model.String(), k.depth, k.impl, k.spec, blob)
-	}
-
 	return b.Artifact()
 }
 
@@ -137,46 +87,35 @@ func (m *Module) buildArtifact(key string, createdUnix int64) (*store.Artifact, 
 func moduleFromArtifact(art *store.Artifact) (*Module, error) {
 	m := newDeferred(art.Source, Options{NatWidth: art.NatWidth})
 	m.createdUnix = art.CreatedUnix
-
-	for _, r := range art.TraceRoots {
-		engine, ok := engineFromName(r.Engine)
-		if !ok {
-			return nil, fmt.Errorf("csp: artifact names unknown engine %q", r.Engine)
+	for _, rec := range art.Results {
+		k := resultKey{kind: resultKind(rec.Kind), model: Model(rec.Model), bound: rec.Bound, p: rec.P, q: rec.Q}
+		var r result
+		var err error
+		switch k.kind {
+		case kindOp, kindDenote:
+			r.traces = &TraceResult{Engine: Engine(k.kind), Iterations: int(rec.Iterations)}
+			r.traces.frozen, err = art.Arena.View(rec.Root)
+		case kindCheck:
+			r.checks, err = unmarshal[[]AssertResultJSON](rec.Blob)
+		case kindProve:
+			r.proves, err = unmarshal[[]ProveResultJSON](rec.Blob)
+		case kindRefine:
+			r.refine, err = unmarshal[RefineResultJSON](rec.Blob)
+		default:
+			err = errors.New("unknown kind")
 		}
-		view, err := art.RootView(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("csp: artifact result (%+v): %w", k, err)
 		}
-		m.StoreTraces(engine, int(r.Depth), r.Process, &TraceResult{
-			frozen:     view,
-			Engine:     engine,
-			Iterations: int(r.Iterations),
-		})
-	}
-	for _, c := range art.Checks {
-		var results []AssertResultJSON
-		if err := json.Unmarshal(c.Results, &results); err != nil {
-			return nil, fmt.Errorf("csp: decoding check verdicts: %w", err)
-		}
-		m.StoreCheck(int(c.Depth), results)
-	}
-	for _, p := range art.Proves {
-		var results []ProveResultJSON
-		if err := json.Unmarshal(p.Results, &results); err != nil {
-			return nil, fmt.Errorf("csp: decoding prove verdicts: %w", err)
-		}
-		m.StoreProve(int(p.MaxLen), results)
-	}
-	for _, rf := range art.Refinements {
-		mdl, err := ParseModel(rf.Model)
-		if err != nil {
-			return nil, fmt.Errorf("csp: artifact names unknown model %q", rf.Model)
-		}
-		var result RefineResultJSON
-		if err := json.Unmarshal(rf.Result, &result); err != nil {
-			return nil, fmt.Errorf("csp: decoding refinement verdict: %w", err)
-		}
-		m.StoreRefine(mdl, int(rf.Depth), rf.Impl, rf.Spec, result)
+		m.res.put(k, r)
 	}
 	return m, nil
+}
+
+// unmarshal decodes a verdict blob into its own T, so that the result
+// being rebuilt can stay off the heap.
+func unmarshal[T any](blob []byte) (T, error) {
+	var v T
+	err := json.Unmarshal(blob, &v)
+	return v, err
 }

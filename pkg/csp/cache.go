@@ -51,7 +51,6 @@ type ModuleCache struct {
 	storeMisses       uint64
 	storeCorrupt      uint64
 	storePuts         uint64
-	storeMapped       uint64
 	storeBytesRead    uint64
 	storeBytesWritten uint64
 }
@@ -194,9 +193,6 @@ func (c *ModuleCache) SetStore(st *store.Store, logf func(format string, args ..
 	c.st, c.logf = st, logf
 }
 
-// Store returns the attached artifact store, or nil.
-func (c *ModuleCache) Store() *store.Store { return c.st }
-
 // loadFromStore probes the disk tier for key. A corrupt artifact is
 // quarantined, logged, and reported as a miss — the caller recompiles; a
 // version-skewed artifact is logged and left in place (the next persist
@@ -205,23 +201,22 @@ func (c *ModuleCache) loadFromStore(key string) (*Module, bool) {
 	if c.st == nil {
 		return nil, false
 	}
-	// GetMapped: the artifact's trie arena stays in the mmap'd file image
-	// and the rehydrated module's results serve reads straight off it —
-	// boot cost is the checksum pass, not a graph rebuild, and RSS is
-	// file-backed pages the kernel can evict or share.
-	art, n, err := c.st.GetMapped(key)
+	// The artifact's trie arena stays in the mmap'd file image and the
+	// rehydrated module's results serve reads straight off it — boot cost
+	// is the checksum pass, not a graph rebuild, and RSS is file-backed
+	// pages the kernel can evict or share.
+	art, n, err := c.st.Get(key)
 	if err == nil {
 		var m *Module
 		if m, err = moduleFromArtifact(art); err == nil {
 			c.mu.Lock()
 			c.storeHits++
-			c.storeMapped++
 			c.storeBytesRead += uint64(n)
 			c.mu.Unlock()
 			return m, true
 		}
 		// A structurally valid file the facade cannot rehydrate (unknown
-		// engine name, undecodable verdicts) is corrupt for our purposes.
+		// result kind, undecodable verdicts) is corrupt for our purposes.
 		err = fmt.Errorf("%w: %v", store.ErrCorrupt, err)
 	}
 	switch {
@@ -351,15 +346,10 @@ type ModuleCacheStats struct {
 	// artifacts rehydrated (hits), keys with no artifact (misses), corrupt
 	// or stale artifacts skipped (corrupt), artifacts written (puts), and
 	// bytes moved in each direction.
-	StoreHits    uint64 `json:"store_hits"`
-	StoreMisses  uint64 `json:"store_misses"`
-	StoreCorrupt uint64 `json:"store_corrupt"`
-	StorePuts    uint64 `json:"store_puts"`
-	// StoreMapped counts store hits loaded through the zero-copy mapped
-	// path: the module's trie arena aliases the file image (mmap'd pages
-	// on unix, one flat read elsewhere) instead of being rebuilt node by
-	// node through the interner.
-	StoreMapped       uint64 `json:"store_mapped"`
+	StoreHits         uint64 `json:"store_hits"`
+	StoreMisses       uint64 `json:"store_misses"`
+	StoreCorrupt      uint64 `json:"store_corrupt"`
+	StorePuts         uint64 `json:"store_puts"`
 	StoreBytesRead    uint64 `json:"store_bytes_read"`
 	StoreBytesWritten uint64 `json:"store_bytes_written"`
 }
@@ -379,7 +369,6 @@ func (c *ModuleCache) Stats() ModuleCacheStats {
 		StoreMisses:       c.storeMisses,
 		StoreCorrupt:      c.storeCorrupt,
 		StorePuts:         c.storePuts,
-		StoreMapped:       c.storeMapped,
 		StoreBytesRead:    c.storeBytesRead,
 		StoreBytesWritten: c.storeBytesWritten,
 	}

@@ -345,8 +345,8 @@ func (r *TraceResult) TraceSet() *TraceSet {
 // surface at load time, as always), but a Module rehydrated from the
 // artifact store (internal/store) defers the parse until an engine
 // actually needs the AST. A store hit whose precomputed results cover the
-// request — consulted via CachedTraces / CachedCheck / CachedProve —
-// therefore answers without parsing or denoting anything.
+// request — consulted via CachedTraces, CachedCheck, CachedProve and
+// CachedRefine — therefore answers without parsing or denoting anything.
 type Module struct {
 	// src and opts are retained for the lazy parse and for persisting the
 	// module as a store artifact. Modules built via FromModule have no
@@ -367,9 +367,9 @@ type Module struct {
 	funcs    *assertion.Registry
 	parseErr error
 
-	// res caches computed results per (engine, depth/bound, process) so
-	// resident hosts can serve repeats — and store warm boots — without
-	// recomputing; see results.go.
+	// res holds computed results by resultKey so resident hosts can
+	// serve repeats — and store warm boots — without recomputing; see
+	// results.go.
 	res resultsCache
 
 	// createdUnix is the artifact creation time carried across persist

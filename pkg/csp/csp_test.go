@@ -192,3 +192,29 @@ func TestFalseClaimsNotProved(t *testing.T) {
 		}
 	}
 }
+
+// TestSetQuantifierClaim checks a true claim whose assertion quantifies
+// over a set that mentions the claim's own variable: instantiating y must
+// reach the y of {0..y}, which neither checker could evaluate unbound.
+func TestSetQuantifierClaim(t *testing.T) {
+	ctx := context.Background()
+	src := "set M = {0..1}\nq[y:M] = c!y -> STOP\nassert forall y in M. q[y] sat forall z in {0..y}. #c <= 1\n"
+	mod, err := csp.Load(ctx, src, csp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(checked) != 1 || !checked[0].OK() {
+		t.Errorf("CheckAll = %v, want the claim holding", checked)
+	}
+	proved, err := mod.ProveAsserts(ctx, csp.CheckOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(proved) != 1 || !proved[0].OK {
+		t.Errorf("ProveAsserts = %+v, want the claim proved", proved)
+	}
+}

@@ -1,43 +1,82 @@
 // Per-module result caching. The engines are deterministic over the
-// sampled domains (EngineRuntime excepted), so a (engine, bound, process)
-// triple fully determines a result: resident hosts record each computed
-// result on the Module and serve repeats — and artifact-store warm boots —
-// without touching the engines. These caches are what the artifact store
-// persists; CachedTraces on a deferred module is the path that answers a
-// request without ever parsing the source.
+// sampled domains (EngineRuntime excepted), so a result's key fully
+// determines it: resident hosts record each computed result on the Module
+// and serve repeats — and artifact-store warm boots — without touching the
+// engines. This table is what the artifact store persists; CachedTraces on
+// a deferred module is the path that answers a request without ever
+// parsing the source.
 package csp
 
 import (
+	"cmp"
+	"strings"
 	"sync"
-
-	"cspsat/internal/model"
 )
 
-// traceResultKey identifies one deterministic trace computation.
-type traceResultKey struct {
-	engine  Engine
-	depth   int
-	process string
+// resultKind says what a result is. A trace set's kind is the Engine that
+// computed it; the verdict kinds follow the engines. Kinds and models are
+// written into artifacts (store.Result), so renumbering either needs a new
+// codec version.
+type resultKind uint8
+
+const (
+	kindOp     = resultKind(EngineOp)
+	kindDenote = resultKind(EngineDenote)
+	// EngineRuntime results are sampled walks, not functions of the
+	// source, so its kind never reaches the table.
+	kindCheck  = resultKind(EngineRuntime) + 1 // CheckAll's verdicts
+	kindProve  = kindCheck + 1                 // ProveAsserts' verdicts
+	kindRefine = kindProve + 1                 // one refinement verdict
+)
+
+// resultKey identifies one deterministic result. bound is the depth, or
+// the validity bound of a prove; p is the process of a trace set and the
+// implementation of a refinement, q the refinement's specification, both
+// canonically rendered. The model is part of a refinement's key because
+// the same (impl, spec, depth) triple can hold under traces and fail under
+// failures.
+type resultKey struct {
+	kind  resultKind
+	model Model
+	bound int
+	p, q  string
 }
 
-// refineResultKey identifies one deterministic refinement verdict: the
-// semantic model is part of the key because the same (impl, spec, depth)
-// triple can hold under traces and fail under failures.
-type refineResultKey struct {
-	model model.Model
-	depth int
-	impl  string
-	spec  string
+// compare is the total order that makes artifact bytes a function of the
+// result set alone.
+func (a resultKey) compare(b resultKey) int {
+	return cmp.Or(
+		cmp.Compare(a.kind, b.kind),
+		cmp.Compare(a.model, b.model),
+		cmp.Compare(a.bound, b.bound),
+		strings.Compare(a.p, b.p),
+		strings.Compare(a.q, b.q),
+	)
 }
 
-// resultsCache is the per-Module memo of deterministic results. All maps
-// are lazily allocated; values are treated as immutable once stored.
+// depthKey is the key of a result computed to a trace-length bound; depth
+// 0 is normalized to DefaultDepth like everywhere else.
+func depthKey(kind resultKind, mdl Model, depth int, p, q string) resultKey {
+	if depth <= 0 {
+		depth = DefaultDepth
+	}
+	return resultKey{kind: kind, model: mdl, bound: depth, p: p, q: q}
+}
+
+// result is one entry of the table: the field of its key's kind is set.
+// Verdicts are kept in the stable wire encodings.
+type result struct {
+	traces *TraceResult
+	checks []AssertResultJSON
+	proves []ProveResultJSON
+	refine RefineResultJSON
+}
+
+// resultsCache is the per-Module memo of deterministic results. The table
+// is lazily allocated; values are treated as immutable once stored.
 type resultsCache struct {
-	mu      sync.Mutex
-	traces  map[traceResultKey]*TraceResult
-	checks  map[int][]AssertResultJSON
-	proves  map[int][]ProveResultJSON
-	refines map[refineResultKey]RefineResultJSON
+	mu    sync.Mutex
+	table map[resultKey]result
 	// onResult, when set, fires after each newly stored result (outside
 	// the mutex). The module cache uses it to persist the module's
 	// artifact; see ModuleCache.SetStore.
@@ -50,8 +89,25 @@ func (rc *resultsCache) setOnResult(f func()) {
 	rc.mu.Unlock()
 }
 
-func (rc *resultsCache) notify() {
+func (rc *resultsCache) get(k resultKey) (result, bool) {
 	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	r, ok := rc.table[k]
+	return r, ok
+}
+
+// put records r under k unless a result is already there: the first write
+// wins, and only it fires onResult.
+func (rc *resultsCache) put(k resultKey, r result) {
+	rc.mu.Lock()
+	if _, ok := rc.table[k]; ok {
+		rc.mu.Unlock()
+		return
+	}
+	if rc.table == nil {
+		rc.table = map[resultKey]result{}
+	}
+	rc.table[k] = r
 	f := rc.onResult
 	rc.mu.Unlock()
 	if f != nil {
@@ -64,13 +120,8 @@ func (rc *resultsCache) notify() {
 // (StoreTraces); depth 0 is normalized to DefaultDepth like everywhere
 // else.
 func (m *Module) CachedTraces(engine Engine, depth int, process string) (*TraceResult, bool) {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	m.res.mu.Lock()
-	defer m.res.mu.Unlock()
-	r, ok := m.res.traces[traceResultKey{engine, depth, process}]
-	return r, ok
+	r, ok := m.res.get(depthKey(resultKind(engine), ModelTraces, depth, process, ""))
+	return r.traces, ok
 }
 
 // StoreTraces records a computed trace result for later CachedTraces hits
@@ -81,33 +132,14 @@ func (m *Module) StoreTraces(engine Engine, depth int, process string, r *TraceR
 	if engine == EngineRuntime || r == nil {
 		return
 	}
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	key := traceResultKey{engine, depth, process}
-	m.res.mu.Lock()
-	if _, ok := m.res.traces[key]; ok {
-		m.res.mu.Unlock()
-		return
-	}
-	if m.res.traces == nil {
-		m.res.traces = map[traceResultKey]*TraceResult{}
-	}
-	m.res.traces[key] = r
-	m.res.mu.Unlock()
-	m.res.notify()
+	m.res.put(depthKey(resultKind(engine), ModelTraces, depth, process, ""), result{traces: r})
 }
 
 // CachedCheck returns the recorded CheckAll verdicts for a depth, in the
 // stable wire encoding.
 func (m *Module) CachedCheck(depth int) ([]AssertResultJSON, bool) {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	m.res.mu.Lock()
-	defer m.res.mu.Unlock()
-	r, ok := m.res.checks[depth]
-	return r, ok
+	r, ok := m.res.get(depthKey(kindCheck, ModelTraces, depth, "", ""))
+	return r.checks, ok
 }
 
 // StoreCheck records CheckAll verdicts for a depth. The slice is retained;
@@ -116,29 +148,14 @@ func (m *Module) StoreCheck(depth int, results []AssertResultJSON) {
 	if results == nil {
 		return
 	}
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	m.res.mu.Lock()
-	if _, ok := m.res.checks[depth]; ok {
-		m.res.mu.Unlock()
-		return
-	}
-	if m.res.checks == nil {
-		m.res.checks = map[int][]AssertResultJSON{}
-	}
-	m.res.checks[depth] = results
-	m.res.mu.Unlock()
-	m.res.notify()
+	m.res.put(depthKey(kindCheck, ModelTraces, depth, "", ""), result{checks: results})
 }
 
 // CachedProve returns the recorded ProveAsserts verdicts for a validity
 // bound, in the stable wire encoding.
 func (m *Module) CachedProve(maxLen int) ([]ProveResultJSON, bool) {
-	m.res.mu.Lock()
-	defer m.res.mu.Unlock()
-	r, ok := m.res.proves[maxLen]
-	return r, ok
+	r, ok := m.res.get(resultKey{kind: kindProve, bound: maxLen})
+	return r.proves, ok
 }
 
 // StoreProve records ProveAsserts verdicts for a validity bound. The slice
@@ -147,58 +164,20 @@ func (m *Module) StoreProve(maxLen int, results []ProveResultJSON) {
 	if results == nil {
 		return
 	}
-	m.res.mu.Lock()
-	if _, ok := m.res.proves[maxLen]; ok {
-		m.res.mu.Unlock()
-		return
-	}
-	if m.res.proves == nil {
-		m.res.proves = map[int][]ProveResultJSON{}
-	}
-	m.res.proves[maxLen] = results
-	m.res.mu.Unlock()
-	m.res.notify()
+	m.res.put(resultKey{kind: kindProve, bound: maxLen}, result{proves: results})
 }
 
 // CachedRefine returns the recorded refinement verdict for (model, depth,
 // impl, spec), in the stable wire encoding. impl and spec are the
 // canonical process renderings the verdict was stored under.
 func (m *Module) CachedRefine(mdl Model, depth int, impl, spec string) (RefineResultJSON, bool) {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	m.res.mu.Lock()
-	defer m.res.mu.Unlock()
-	r, ok := m.res.refines[refineResultKey{mdl, depth, impl, spec}]
-	return r, ok
+	r, ok := m.res.get(depthKey(kindRefine, mdl, depth, impl, spec))
+	return r.refine, ok
 }
 
 // StoreRefine records a refinement verdict for later CachedRefine hits
 // (and, when the module came through a store-backed ModuleCache, persists
 // it).
 func (m *Module) StoreRefine(mdl Model, depth int, impl, spec string, r RefineResultJSON) {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	key := refineResultKey{mdl, depth, impl, spec}
-	m.res.mu.Lock()
-	if _, ok := m.res.refines[key]; ok {
-		m.res.mu.Unlock()
-		return
-	}
-	if m.res.refines == nil {
-		m.res.refines = map[refineResultKey]RefineResultJSON{}
-	}
-	m.res.refines[key] = r
-	m.res.mu.Unlock()
-	m.res.notify()
-}
-
-// CachedResultCount reports how many deterministic results the module has
-// recorded (trace sets + check blocks + prove blocks + refinement
-// verdicts).
-func (m *Module) CachedResultCount() int {
-	m.res.mu.Lock()
-	defer m.res.mu.Unlock()
-	return len(m.res.traces) + len(m.res.checks) + len(m.res.proves) + len(m.res.refines)
+	m.res.put(depthKey(kindRefine, mdl, depth, impl, spec), result{refine: r})
 }
