@@ -110,10 +110,11 @@ type synth struct {
 	fresh int
 }
 
-// freshVar returns a variable name not free in the process and nowhere in
-// the assertion, as the input rule requires.
+// freshVar returns a variable name nowhere in the process or the
+// assertion: the input rule needs it not free in either, and substituting
+// it into the process must not meet an input that binds it.
 func (s *synth) freshVar(p syntax.Proc, a assertion.A) string {
-	pv := syntax.FreeVarsProc(p)
+	pv := syntax.VarNames(p)
 	av := assertion.VarNames(a)
 	for {
 		v := "v" + strconv.Itoa(s.fresh)
@@ -159,7 +160,10 @@ func (s *synth) prove(p syntax.Proc, target assertion.A, unfolds int) (proof.Pro
 		if err != nil {
 			return nil, err
 		}
-		contInst := syntax.SubstProc(t.Cont, t.Var, syntax.Var{Name: v})
+		contInst, err := syntax.SubstProc(t.Cont, t.Var, syntax.Var{Name: v})
+		if err != nil {
+			return nil, err
+		}
 		prem, err := s.prove(contInst, next, unfolds)
 		if err != nil {
 			return nil, err

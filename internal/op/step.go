@@ -262,8 +262,10 @@ func offers(p syntax.Proc, env sem.Env, unfolds int, dst *[]Offer) error {
 			Dom:  dom,
 			next: func(v value.V) State {
 				// The paper's P^x_v of rule 6: substitute the communicated
-				// value into the continuation term, keeping terms closed.
-				return State{Proc: syntax.SubstProc(cont, varName, sem.ValueToExpr(v)), Env: env}
+				// value into the continuation term, keeping terms closed. A
+				// value is a literal, which no input can capture.
+				p, _ := syntax.SubstProc(cont, varName, sem.ValueToExpr(v))
+				return State{Proc: p, Env: env}
 			},
 		})
 		return nil

@@ -559,45 +559,15 @@ type chanUsage struct {
 
 func (p *parser) moduleChanUsage() chanUsage {
 	u := chanUsage{used: map[string]bool{}, array: map[string]bool{}}
-	var walk func(pr syntax.Proc)
-	note := func(c syntax.ChanRef) {
-		u.used[c.Name] = true
-		if c.Sub != nil {
-			u.array[c.Name] = true
-		}
-	}
-	noteItems := func(items []syntax.ChanItem) {
-		for _, it := range items {
-			u.used[it.Name] = true
-			if it.Sub != nil || it.Lo != nil {
-				u.array[it.Name] = true
-			}
-		}
-	}
-	walk = func(pr syntax.Proc) {
-		switch t := pr.(type) {
-		case syntax.Output:
-			note(t.Ch)
-			walk(t.Cont)
-		case syntax.Input:
-			note(t.Ch)
-			walk(t.Cont)
-		case syntax.Alt:
-			walk(t.L)
-			walk(t.R)
-		case syntax.Par:
-			walk(t.L)
-			walk(t.R)
-			noteItems(t.AlphaL)
-			noteItems(t.AlphaR)
-		case syntax.Hiding:
-			noteItems(t.Channels)
-			walk(t.Body)
+	note := func(name string, array bool) {
+		u.used[name] = true
+		if array {
+			u.array[name] = true
 		}
 	}
 	for _, name := range p.module.Names() {
 		def, _ := p.module.Lookup(name)
-		walk(def.Body)
+		syntax.Chans(def.Body, note)
 	}
 	return u
 }

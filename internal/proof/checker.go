@@ -306,11 +306,11 @@ func (c *Checker) checkInput(n InputStep, sc scope) (Claim, error) {
 	if err != nil {
 		return Claim{}, fmt.Errorf("input: %w", err)
 	}
-	want := Claim{
-		Quants: []Quant{{Var: n.Fresh, Dom: n.Dom}},
-		Proc:   syntax.SubstProc(n.Body, n.Var, syntax.Var{Name: n.Fresh}),
-		A:      wantA,
+	wantP, err := syntax.SubstProc(n.Body, n.Var, syntax.Var{Name: n.Fresh})
+	if err != nil {
+		return Claim{}, fmt.Errorf("input: %w", err)
 	}
+	want := Claim{Quants: []Quant{{Var: n.Fresh, Dom: n.Dom}}, Proc: wantP, A: wantA}
 	prem, err := c.check(n.Premise, sc)
 	if err != nil {
 		return Claim{}, err
@@ -396,7 +396,10 @@ func (c *Checker) checkRecursion(n Recursion, sc scope) (Claim, error) {
 		// the self-assumptions.
 		body := def.Body
 		if def.IsArray() {
-			body = syntax.SubstProc(body, def.Param, syntax.Var{Name: d.Claim.Quants[0].Var})
+			var err error
+			if body, err = syntax.SubstProc(body, def.Param, syntax.Var{Name: d.Claim.Quants[0].Var}); err != nil {
+				return Claim{}, fmt.Errorf("recursion(%s): %w", d.Name, err)
+			}
 		}
 		want := Claim{Quants: d.Claim.Quants, Proc: body, A: d.Claim.A}
 		prem, err := c.check(d.Premise, inner)
@@ -463,7 +466,11 @@ func (c *Checker) instantiate(cl Claim, terms []assertion.Term, sc scope) (Claim
 		if err != nil {
 			return Claim{}, fmt.Errorf("forall-elim: %w", err)
 		}
-		out = Claim{Quants: out.Quants[1:], Proc: syntax.SubstProc(out.Proc, q.Var, e), A: a}
+		p, err := syntax.SubstProc(out.Proc, q.Var, e)
+		if err != nil {
+			return Claim{}, fmt.Errorf("forall-elim: %w", err)
+		}
+		out = Claim{Quants: out.Quants[1:], Proc: p, A: a}
 	}
 	return out, nil
 }
@@ -504,7 +511,10 @@ func (c *Checker) checkUnfold(n Unfold, sc scope) (Claim, error) {
 	var body syntax.Proc
 	switch {
 	case def.IsArray() && n.Ref.Sub != nil:
-		body = syntax.SubstProc(def.Body, def.Param, n.Ref.Sub)
+		var err error
+		if body, err = syntax.SubstProc(def.Body, def.Param, n.Ref.Sub); err != nil {
+			return Claim{}, fmt.Errorf("unfold: %w", err)
+		}
 	case !def.IsArray() && n.Ref.Sub == nil:
 		body = def.Body
 	default:
@@ -581,12 +591,15 @@ func canonClaim(c Claim) (Claim, error) {
 	for i, q := range c.Quants {
 		fresh := "$" + strconv.Itoa(i)
 		out.Quants[i] = Quant{Var: fresh, Dom: q.Dom}
-		out.Proc = syntax.SubstProc(out.Proc, q.Var, syntax.Var{Name: fresh})
+		p, err := syntax.SubstProc(out.Proc, q.Var, syntax.Var{Name: fresh})
+		if err != nil {
+			return Claim{}, err
+		}
 		a, err := assertion.SubstVar(out.A, q.Var, assertion.Var(fresh))
 		if err != nil {
 			return Claim{}, err
 		}
-		out.A = a
+		out.Proc, out.A = p, a
 	}
 	return out, nil
 }

@@ -194,6 +194,44 @@ func TestInputRuleFreshnessConditions(t *testing.T) {
 	}
 }
 
+// TestInputRuleRefusesCapture hand-builds the proof the synthesiser once
+// made for c?x:{0..1} -> d?v0:{0..1} -> e!x -> STOP sat e <= d, choosing
+// v0, which the body binds, as the outer input's fresh variable. Its
+// premise is about the captured body d?v0:{0..1} -> e!v0 -> STOP, whose
+// claim holds though the process's does not (<c.0, d.1, e.0>), so the
+// input rule must refuse the substitution.
+func TestInputRuleRefusesCapture(t *testing.T) {
+	c := proof.NewChecker(sem.NewEnv(syntax.NewModule(), 2), nil)
+	c.Validity = assertion.ValidityConfig{MaxLen: 2}
+	bits := syntax.RangeSet{Lo: syntax.IntLit{Val: 0}, Hi: syntax.IntLit{Val: 1}}
+	r := assertion.PrefixLE(assertion.Chan("e"), assertion.Chan("d"))
+	v1d := assertion.Cons{Head: assertion.Var("v1"), Tail: assertion.Chan("d")}
+	v1e := assertion.Cons{Head: assertion.Var("v1"), Tail: assertion.Chan("e")}
+	inner := proof.InputStep{
+		Ch: syntax.ChanRef{Name: "d"}, Var: "v0", Dom: bits,
+		Body:  syntax.Output{Ch: syntax.ChanRef{Name: "e"}, Val: syntax.Var{Name: "v0"}, Cont: syntax.Stop{}},
+		Fresh: "v1", R: r,
+		Premise: proof.ForAllIntro{Var: "v1", Dom: bits, Premise: proof.OutputStep{
+			Ch: syntax.ChanRef{Name: "e"}, Val: syntax.Var{Name: "v1"},
+			R:       assertion.PrefixLE(assertion.Chan("e"), v1d),
+			Premise: proof.Emptiness{R: assertion.PrefixLE(v1e, v1d)},
+		}},
+	}
+	outer := proof.InputStep{
+		Ch: syntax.ChanRef{Name: "c"}, Var: "x", Dom: bits,
+		Body: syntax.Input{Ch: syntax.ChanRef{Name: "d"}, Var: "v0", Dom: bits,
+			Cont: syntax.Output{Ch: syntax.ChanRef{Name: "e"}, Val: syntax.Var{Name: "x"}, Cont: syntax.Stop{}}},
+		Fresh: "v0", R: r,
+		Premise: proof.ForAllIntro{Var: "v0", Dom: bits, Premise: inner},
+	}
+	if _, err := c.Check(inner); err != nil {
+		t.Fatalf("the captured body's proof: %v", err)
+	}
+	if cl, err := c.Check(outer); err == nil || !strings.Contains(err.Error(), "capture") {
+		t.Errorf("Check = %s, %v; want the input rule to refuse the capture", cl, err)
+	}
+}
+
 func TestInstantiateRule(t *testing.T) {
 	c := checker(t)
 	nat := syntax.SetName{Name: "NAT"}

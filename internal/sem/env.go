@@ -65,14 +65,15 @@ type envCache struct {
 }
 
 // litCache caches what a non-empty list of literals evaluates to by the
-// list's content: a hash of the literals and element equality pick the
-// entry, so a list that substituting a value builds anew finds the entry
-// of the first list with its literals. A module has few such lists, one
-// per distinct list of its own and per value substituted, so the entries
-// are scanned in one chain. held indexes the lists the chain holds by
-// identity, so the module's own lists and the canonical alphabet lists,
-// met on every state step, answer without hashing. Lookups allocate
-// nothing. E is an element type whose literals compare exactly with ==.
+// list's content: the list's syntax hash (syntax.HashExprs or
+// syntax.HashItems) and element equality pick the entry, so a list that
+// substituting a value builds anew finds the entry of the first list with
+// its literals. A module has few such lists, one per distinct list of its
+// own and per value substituted, so the entries are scanned in one chain.
+// held indexes the lists the chain holds by identity, so the module's own
+// lists and the canonical alphabet lists, met on every state step, answer
+// without hashing. Lookups allocate nothing. E is an element type whose
+// literals compare exactly with ==.
 type litCache[E comparable, V any] struct {
 	held sync.Map // litKey[E] → *litEntry[E, V]
 	mu   sync.Mutex
@@ -125,54 +126,6 @@ func (c *litCache[E, V]) lookupLocked(h uint64, list []E) *litEntry[E, V] {
 		}
 	}
 	return nil
-}
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func mixWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return mixWord(h, uint64(len(s)))
-}
-
-// hashLit hashes an absent (nil) or literal expression; tags keep an
-// integer and a symbol apart.
-func hashLit(h uint64, e syntax.Expr) uint64 {
-	switch t := e.(type) {
-	case syntax.IntLit:
-		return mixWord(mixWord(h, 1), uint64(t.Val))
-	case syntax.SymLit:
-		return mixString(mixWord(h, 2), t.Name)
-	}
-	return mixWord(h, 0)
-}
-
-func hashLits(es []syntax.Expr) uint64 {
-	h := fnvOffset
-	for _, e := range es {
-		h = hashLit(h, e)
-	}
-	return h
-}
-
-func hashChanItems(items []syntax.ChanItem) uint64 {
-	h := fnvOffset
-	for _, it := range items {
-		h = hashLit(hashLit(hashLit(mixString(h, it.Name), it.Sub), it.Lo), it.Hi)
-	}
-	return h
 }
 
 // instKey identifies one process-array instance: a definition and an
@@ -333,7 +286,7 @@ func (e Env) EvalSet(s syntax.SetExpr) (value.Domain, error) {
 			if len(t.Elems) == 0 || !literalExprs(t.Elems) {
 				break
 			}
-			d, h, ok := e.cache.enums.load(t.Elems, hashLits)
+			d, h, ok := e.cache.enums.load(t.Elems, syntax.HashExprs)
 			if ok {
 				return d, nil
 			}
@@ -436,7 +389,7 @@ func (e Env) EvalChanItems(items []syntax.ChanItem) (trace.Set, error) {
 	cacheable := e.cache != nil && len(items) > 0 && literalChanItems(items)
 	var h uint64
 	if cacheable {
-		out, hash, ok := e.cache.chanItems.load(items, hashChanItems)
+		out, hash, ok := e.cache.chanItems.load(items, syntax.HashItems)
 		if ok {
 			return out, nil
 		}
@@ -516,7 +469,7 @@ func (e Env) Instantiate(r syntax.Ref) (syntax.Proc, error) {
 		if !dom.Contains(v) {
 			return nil, fmt.Errorf("sem: subscript %v of %s outside its range %s", v, r.Name, dom)
 		}
-		body := syntax.SubstProc(def.Body, def.Param, valueToExpr(v))
+		body, _ := syntax.SubstProc(def.Body, def.Param, valueToExpr(v)) // a literal has no variable to capture
 		if key.def != nil && dom.IsFinite() {
 			shared, _ := e.cache.insts.LoadOrStore(key, body)
 			return shared.(syntax.Proc), nil

@@ -150,6 +150,20 @@ func hashSet(h uint64, s SetExpr) uint64 {
 	}
 }
 
+// HashExprs returns a hash of a list of expressions that is equal for
+// lists that print alike.
+func HashExprs(es []Expr) uint64 {
+	h := mixWord(hashSeed, uint64(len(es)))
+	for _, e := range es {
+		h = hashExpr(h, e)
+	}
+	return h
+}
+
+// HashItems returns a hash of a channel list that is equal for lists that
+// print alike.
+func HashItems(items []ChanItem) uint64 { return hashItems(hashSeed, items) }
+
 func hashItems(h uint64, items []ChanItem) uint64 {
 	h = mixWord(h, uint64(len(items)))
 	for _, it := range items {

@@ -67,15 +67,15 @@ func TestSubstProcRespectsBinders(t *testing.T) {
 	body := syntax.Input{Ch: ch("c"), Var: "x", Dom: natSet(),
 		Cont: out("wire", v("x"), out("out", v("y"), syntax.Stop{}))}
 
-	sx := syntax.SubstProc(body, "x", lit(7))
-	if !reflect.DeepEqual(sx, syntax.Proc(body)) {
-		t.Errorf("substitution crossed the binder:\n  %s", sx)
+	sx, err := syntax.SubstProc(body, "x", lit(7))
+	if err != nil || !reflect.DeepEqual(sx, syntax.Proc(body)) {
+		t.Errorf("substitution crossed the binder:\n  %s (%v)", sx, err)
 	}
-	sy := syntax.SubstProc(body, "y", lit(7))
+	sy, err := syntax.SubstProc(body, "y", lit(7))
 	want := syntax.Input{Ch: ch("c"), Var: "x", Dom: natSet(),
 		Cont: out("wire", v("x"), out("out", lit(7), syntax.Stop{}))}
-	if !reflect.DeepEqual(sy, syntax.Proc(want)) {
-		t.Errorf("substitution under binder failed:\n  got  %s\n  want %s", sy, want)
+	if err != nil || !reflect.DeepEqual(sy, syntax.Proc(want)) {
+		t.Errorf("substitution under binder failed:\n  got  %s (%v)\n  want %s", sy, err, want)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestSubstProcEverywhere(t *testing.T) {
 			Body:     out("col", syntax.Binary{Op: syntax.OpAdd, L: v("i"), R: lit(1)}, syntax.Stop{}),
 		},
 	}
-	got := syntax.SubstProc(p, "i", lit(2))
+	got, err := syntax.SubstProc(p, "i", lit(2))
 	want := syntax.Par{
 		L: syntax.Ref{Name: "q", Sub: lit(2)},
 		R: syntax.Hiding{
@@ -95,8 +95,8 @@ func TestSubstProcEverywhere(t *testing.T) {
 			Body:     out("col", syntax.Binary{Op: syntax.OpAdd, L: lit(2), R: lit(1)}, syntax.Stop{}),
 		},
 	}
-	if !reflect.DeepEqual(got, syntax.Proc(want)) {
-		t.Errorf("got %s want %s", got, want)
+	if err != nil || !reflect.DeepEqual(got, syntax.Proc(want)) {
+		t.Errorf("got %s (%v) want %s", got, err, want)
 	}
 }
 
@@ -107,10 +107,11 @@ func TestSubstSetAndChanItem(t *testing.T) {
 	if !reflect.DeepEqual(got, syntax.SetExpr(want)) {
 		t.Errorf("SubstSet = %v", got)
 	}
-	item := syntax.ChanItem{Name: "col", Lo: v("i"), Hi: v("j")}
-	gi := syntax.SubstChanItem(item, "i", lit(0))
-	if !reflect.DeepEqual(gi.Lo, syntax.Expr(lit(0))) || !reflect.DeepEqual(gi.Hi, syntax.Expr(v("j"))) {
-		t.Errorf("SubstChanItem = %v", gi)
+	hide := syntax.Hiding{Channels: []syntax.ChanItem{{Name: "col", Lo: v("i"), Hi: v("j")}}, Body: syntax.Stop{}}
+	gh, err := syntax.SubstProc(hide, "i", lit(0))
+	wantHide := syntax.Hiding{Channels: []syntax.ChanItem{{Name: "col", Lo: lit(0), Hi: v("j")}}, Body: syntax.Stop{}}
+	if err != nil || !reflect.DeepEqual(gh, syntax.Proc(wantHide)) {
+		t.Errorf("SubstProc on a hiding = %s (%v), want %s", gh, err, wantHide)
 	}
 }
 

@@ -771,7 +771,7 @@ func (m *Module) checkQuantified(ck *check.Checker, quants []parser.Quant, p Pro
 	}
 	total := CheckResult{OK: true, Depth: ck.Depth()}
 	for _, v := range dom.Enumerate() {
-		inst := syntax.SubstProc(p, q.Var, sem.ValueToExpr(v))
+		inst, _ := syntax.SubstProc(p, q.Var, sem.ValueToExpr(v)) // a literal has no variable to capture
 		instA, err := assertion.SubstVar(a, q.Var, assertion.Lit{Val: v})
 		if err != nil {
 			return CheckResult{}, err

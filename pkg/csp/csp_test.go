@@ -160,19 +160,22 @@ func TestStatsAfterReset(t *testing.T) {
 }
 
 // TestFalseClaimsNotProved pins false claims that the model checker
-// refutes on <c.0> and the prover once proved. The first reads c only
-// inside a constant-array subscript, which R_<> and R[e⌢c/c] must rewrite
-// too. In the second the input rule's fresh variable v0 would be captured
-// by the claim's own binder, and in the third the claim's binder of x would
-// capture y once y is renamed to q's parameter x.
+// refutes and the prover once proved. The first reads c only inside a
+// constant-array subscript, which R_<> and R[e⌢c/c] must rewrite too. In
+// the second the input rule's fresh variable v0 would be captured by the
+// claim's own binder, and in the third the claim's binder of x would
+// capture y once y is renamed to q's parameter x. In the fourth the
+// process's own input binds v0, which the synthesiser once chose as the
+// outer input's fresh variable, so P[v0/x] captured it.
 func TestFalseClaimsNotProved(t *testing.T) {
-	for _, src := range []string{
-		"const K[0..1] = [0, 5]\nP = c!0 -> STOP\nassert P sat K[#c] == 0\n",
-		"P = c?x:{0..1} -> STOP\nassert P sat forall v0 in {5}. c <= <v0>\n",
-		"set M = {0..1}\nq[x:M] = c!x -> STOP\nassert forall y in M. q[y] sat forall x in {1}. #c <= y\n",
+	for _, c := range []struct{ src, cex string }{
+		{"const K[0..1] = [0, 5]\nP = c!0 -> STOP\nassert P sat K[#c] == 0\n", "<c.0>"},
+		{"P = c?x:{0..1} -> STOP\nassert P sat forall v0 in {5}. c <= <v0>\n", "<c.0>"},
+		{"set M = {0..1}\nq[x:M] = c!x -> STOP\nassert forall y in M. q[y] sat forall x in {1}. #c <= y\n", "<c.0>"},
+		{"P = c?x:{0..1} -> d?v0:{0..1} -> e!x -> STOP\nassert P sat e <= d\n", "<c.0, d.1, e.0>"},
 	} {
 		ctx := context.Background()
-		mod, err := csp.Load(ctx, src, csp.Options{})
+		mod, err := csp.Load(ctx, c.src, csp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,15 +184,42 @@ func TestFalseClaimsNotProved(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(proved) != 1 || proved[0].OK {
-			t.Errorf("%s: ProveAsserts = %+v, want one unproved result", src, proved)
+			t.Errorf("%s: ProveAsserts = %+v, want one unproved result", c.src, proved)
 		}
 		checked, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(checked) != 1 || checked[0].OK() || checked[0].Result.Counter == nil || checked[0].Result.Counter.Trace.String() != "<c.0>" {
-			t.Errorf("%s: CheckAll = %v, want a counterexample on <c.0>", src, checked)
+		if len(checked) != 1 || checked[0].OK() || checked[0].Result.Counter == nil || checked[0].Result.Counter.Trace.String() != c.cex {
+			t.Errorf("%s: CheckAll = %v, want a counterexample on %s", c.src, checked, c.cex)
 		}
+	}
+}
+
+// TestInternalChoiceChannels checks that the channels a process uses only
+// under |~| resolve in its asserts: #b is a channel's history, not an
+// unbound variable, and offers may name a and b.
+func TestInternalChoiceChannels(t *testing.T) {
+	ctx := context.Background()
+	src := "P = a!0 -> STOP |~| b!1 -> STOP\nassert P sat #b <= 1\nassert P sat offers a, b\n"
+	mod, err := csp.Load(ctx, src, csp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 2 || !traces[0].OK() {
+		t.Errorf("CheckAll = %v, want #b <= 1 holding", traces)
+	}
+	failures, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 4, Model: csp.ModelFailures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 2 || failures[1].OK() || failures[1].Result.Refusal == nil ||
+		len(failures[1].Result.Refusal.Acceptance) != 0 || failures[1].Result.Refusal.Trace.String() != "<a.0>" {
+		t.Errorf("failures CheckAll = %v, want offers a, b failing with a deadlock after <a.0>", failures)
 	}
 }
 

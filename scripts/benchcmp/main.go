@@ -1,9 +1,11 @@
 // Command benchcmp compares two files of `go test -bench -benchmem` output,
 // old and new. For every benchmark it prints the median ns/op, B/op and
 // allocs/op of each side, old → new, and it exits 1 when the median
-// allocs/op of a benchmark both files ran rose. Allocation counts repeat
-// from run to run where timings do not, so they are the signal to gate on.
-// It needs nothing beyond the standard library. Usage:
+// allocs/op of a benchmark both files ran exceeds every old run of it.
+// Allocation counts repeat from run to run where timings do not, so they
+// are the signal to gate on; the highest old run, not the old median, is
+// the bar, because a count can wobble by an object or two between runs of
+// one binary. It needs nothing beyond the standard library. Usage:
 //
 //	benchcmp old.txt new.txt
 package main
@@ -89,7 +91,7 @@ func parse(r io.Reader) (results, []string, error) {
 }
 
 // compare writes one row per benchmark and returns the benchmarks whose
-// median allocs/op rose.
+// median allocs/op exceeds their highest old run.
 func compare(w io.Writer, old, cur results, order []string) (rose []string) {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\t"+strings.Join(units, "\t"))
@@ -99,7 +101,7 @@ func compare(w io.Writer, old, cur results, order []string) (rose []string) {
 			o, okOld := median(old[name][u])
 			n, okNew := median(cur[name][u])
 			row = append(row, cell(o, okOld, n, okNew))
-			if u == "allocs/op" && okOld && okNew && n > o {
+			if u == "allocs/op" && okOld && okNew && n > slices.Max(old[name][u]) {
 				rose = append(rose, name)
 			}
 		}

@@ -54,3 +54,24 @@ func TestCompareFixture(t *testing.T) {
 		t.Errorf("%d lines, want a header and four benchmarks:\n%s", lines, got)
 	}
 }
+
+// TestCompareAgainstHighestOldRun pins the gate's bar: a median inside the
+// old runs' own range is a wobble and passes, so benchcmp exits 0, while a
+// rise of one object above old runs that all agree is flagged, so it
+// exits 1.
+func TestCompareAgainstHighestOldRun(t *testing.T) {
+	for _, c := range []struct {
+		pair string
+		want []string
+	}{
+		{"wobble", nil},
+		{"rise", []string{"BenchmarkBufferChain/n=4-2"}},
+	} {
+		old, order := readFixture(t, c.pair+"_old.txt")
+		cur, _ := readFixture(t, c.pair+"_new.txt")
+		var out strings.Builder
+		if rose := compare(&out, old, cur, order); !slices.Equal(rose, c.want) {
+			t.Errorf("%s: allocs/op rose for %v, want %v:\n%s", c.pair, rose, c.want, out.String())
+		}
+	}
+}
